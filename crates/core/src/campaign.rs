@@ -1020,7 +1020,7 @@ fn measure_item(
                     busy_s: q.total_time_s(),
                 });
             }
-            Ok(())
+            Ok(false)
         },
     );
     match result {

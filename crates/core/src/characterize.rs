@@ -19,11 +19,13 @@
 //! [`synergy::KernelTrace`], every sweep point replays that trace through
 //! the batch submission path (one cost-model evaluation per distinct
 //! `(kernel, frequency)` pair, shared across the whole sweep via an
-//! `Arc<PriceTable>`), and the per-frequency points fan out across threads
-//! with rayon. Results are **bit-identical** to the legacy per-submission
+//! `Arc<PriceTable>`), and the per-point measurements fan out across
+//! threads with rayon. There is one such engine, [`characterize_lattice`]:
+//! a frequency sweep is its core-only lattice. Results are
+//! **bit-identical** to the legacy per-submission
 //! sweep, kept as [`characterize_serial`]: replay preserves submission
 //! order (so floating-point accumulation order is unchanged), noise seeds
-//! are keyed by frequency *index* (so thread scheduling cannot reorder
+//! are keyed by point *index* (so thread scheduling cannot reorder
 //! random streams), and each launch draws its noise factors in the legacy
 //! order. The equivalence tests at the bottom of this module pin the two
 //! paths together, noiseless and noisy, on NVIDIA and AMD devices.
@@ -182,8 +184,8 @@ pub struct SweepOptions {
     /// metric, span, or trace work anywhere on the sweep path. An armed
     /// sink only *observes* — sweep results are bit-identical either way
     /// (pinned by the golden tests below). Honored by
-    /// [`characterize_with_options`] and the campaign scheduler; the
-    /// serial reference path ignores it.
+    /// [`characterize_lattice`] (and so [`characterize_with_options`]) and
+    /// the campaign scheduler; the serial reference path ignores it.
     pub telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -252,6 +254,13 @@ pub struct PointDiagnostics {
     pub degradation: DegradationMetrics,
 }
 
+impl PointDiagnostics {
+    /// The point saw no fault, retry, or re-measurement.
+    fn is_clean(&self) -> bool {
+        !self.flagged && self.remeasured == 0 && self.degradation.is_clean()
+    }
+}
+
 /// Per-point diagnostics of one fault-aware sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepDiagnostics {
@@ -269,8 +278,7 @@ impl SweepDiagnostics {
     /// No point saw a fault, retried, or was re-measured — the sweep is
     /// exactly what a fault-free run would have produced.
     pub fn is_clean(&self) -> bool {
-        self.all()
-            .all(|p| !p.flagged && p.remeasured == 0 && p.degradation.is_clean())
+        self.all().all(PointDiagnostics::is_clean)
     }
 
     /// Frequencies whose accepted measurement is still degraded.
@@ -313,9 +321,29 @@ pub(crate) fn fault_seed(base: u64, seed_off: u64, attempt: u32) -> u64 {
 /// are redone up to `remeasure_limit` times, then accepted flagged.
 fn measure_attempts(
     opts: &SweepOptions,
-    mut make_attempt_queue: impl FnMut(u32) -> SynergyQueue,
+    make_attempt_queue: impl FnMut(u32) -> SynergyQueue,
     mut run_once: impl FnMut(&mut SynergyQueue) -> bool,
 ) -> (Measurement, PointDiagnostics) {
+    match try_measure_attempts(opts, make_attempt_queue, |q| {
+        Ok::<_, std::convert::Infallible>(run_once(q))
+    }) {
+        Ok(measured) => measured,
+        Err(never) => match never {},
+    }
+}
+
+/// [`measure_attempts`] for supervisors that treat an error as *the
+/// device's* problem rather than the point's: the first rep whose
+/// `run_once` returns `Err` aborts the whole point with that error (no
+/// partial median, no re-measure), so the caller can trip a circuit
+/// breaker and re-schedule the work elsewhere. `Ok(true)` is a failed rep
+/// that is kept and marks the attempt dirty, as in [`measure_attempts`];
+/// `Ok(false)` is a completed rep.
+pub(crate) fn try_measure_attempts<E>(
+    opts: &SweepOptions,
+    mut make_attempt_queue: impl FnMut(u32) -> SynergyQueue,
+    mut run_once: impl FnMut(&mut SynergyQueue) -> Result<bool, E>,
+) -> Result<(Measurement, PointDiagnostics), E> {
     let mut attempt = 0u32;
     loop {
         let mut q = make_attempt_queue(attempt);
@@ -324,7 +352,7 @@ fn measure_attempts(
         for _ in 0..opts.reps {
             let t0 = q.total_time_s();
             let e0 = q.total_energy_j();
-            let failed = run_once(&mut q);
+            let failed = run_once(&mut q)?;
             samples.push(Measurement {
                 time_s: q.total_time_s() - t0,
                 energy_j: q.total_energy_j() - e0,
@@ -338,50 +366,6 @@ fn measure_attempts(
         let m = samples[samples.len() / 2];
         let degradation = q.degradation();
         let dirty = errored || !degradation.is_clean();
-        if !dirty || attempt >= opts.remeasure_limit {
-            return (
-                m,
-                PointDiagnostics {
-                    freq_mhz: None,
-                    remeasured: attempt,
-                    flagged: dirty,
-                    degradation,
-                },
-            );
-        }
-        attempt += 1;
-    }
-}
-
-/// The fallible twin of [`measure_attempts`], for supervisors that treat a
-/// permanent failure as *the device's* problem rather than the point's:
-/// the first rep whose `run_once` errors aborts the whole point with that
-/// error (no partial median, no re-measure), so the caller can trip a
-/// circuit breaker and re-schedule the work elsewhere. On the no-error
-/// path the rep loop, median, and dirty/re-measure logic are exactly
-/// [`measure_attempts`]'s — bit-identical measurements.
-pub(crate) fn try_measure_attempts<E>(
-    opts: &SweepOptions,
-    mut make_attempt_queue: impl FnMut(u32) -> SynergyQueue,
-    mut run_once: impl FnMut(&mut SynergyQueue) -> Result<(), E>,
-) -> Result<(Measurement, PointDiagnostics), E> {
-    let mut attempt = 0u32;
-    loop {
-        let mut q = make_attempt_queue(attempt);
-        let mut samples = Vec::with_capacity(opts.reps);
-        for _ in 0..opts.reps {
-            let t0 = q.total_time_s();
-            let e0 = q.total_energy_j();
-            run_once(&mut q)?;
-            samples.push(Measurement {
-                time_s: q.total_time_s() - t0,
-                energy_j: q.total_energy_j() - e0,
-            });
-        }
-        samples.sort_by(|a, b| a.energy_j.total_cmp(&b.energy_j));
-        let m = samples[samples.len() / 2];
-        let degradation = q.degradation();
-        let dirty = !degradation.is_clean();
         if !dirty || attempt >= opts.remeasure_limit {
             return Ok((
                 m,
@@ -397,7 +381,7 @@ pub(crate) fn try_measure_attempts<E>(
     }
 }
 
-/// Builds the per-attempt replay queue both the options sweep and the
+/// Builds the per-attempt replay queue both the sweep engine and the
 /// campaign scheduler measure through: a fresh [`sweep_device`] with
 /// per-batch trace events disabled, pricing routed through the shared memo
 /// table, the options' fault plan reseeded for this `(point, attempt)`
@@ -453,16 +437,17 @@ pub fn characterize(
 /// [`characterize`] with explicit [`SweepOptions`]: fault injection, retry
 /// policy, and dirty-point re-measurement.
 ///
-/// Every measurement device carries the options' [`FaultPlan`], reseeded
-/// per point and per attempt. After measuring a point the sweep inspects
-/// the queue's degradation counters: if any fault fired (throttle, retry,
-/// rejection, counter rewind) or a rep failed outright, the point is
-/// **re-measured** on a fresh queue with a fresh fault stream, up to
-/// `remeasure_limit` times; a point that never comes back clean is accepted
-/// as-is and **marked** in the returned [`SweepDiagnostics`]. Under an
-/// inert plan no fault can fire, every point is clean on its first attempt,
-/// and the result is bit-identical to [`characterize`] — the golden tests
-/// below pin this.
+/// This is the core-only lattice ([`LatticeAxes::core_only`]) swept by
+/// [`characterize_lattice`] and projected onto the frequency plane, so it
+/// inherits that engine's fault contract: every measurement device carries
+/// the options' [`FaultPlan`], reseeded per point and per attempt; a point
+/// whose queue saw a fault (throttle, retry, rejection, counter rewind) or
+/// a failed rep is **re-measured** on a fresh queue with a fresh fault
+/// stream, up to `remeasure_limit` times, and a point that never comes
+/// back clean is accepted as-is and **marked** in the returned
+/// [`SweepDiagnostics`]. Under an inert plan no fault can fire, every
+/// point is clean on its first attempt, and the result is bit-identical to
+/// [`characterize_serial`] — the golden tests below pin this.
 ///
 /// # Panics
 /// Panics on an empty frequency list or `reps == 0`.
@@ -473,92 +458,29 @@ pub fn characterize_with_options(
     opts: &SweepOptions,
 ) -> (Characterization, SweepDiagnostics) {
     assert!(!freqs.is_empty(), "need at least one frequency");
-    assert!(opts.reps > 0, "need at least one repetition");
-
-    let tel = opts.telemetry.as_deref();
-    let meters = tel.map(SweepMeters::new);
-    let _sweep_span = tel.map(|t| {
-        t.registry().counter("sweep.runs").inc();
-        t.span(
-            SpanLevel::Sweep,
-            "sweep",
-            vec![
-                ("device", spec.name.clone()),
-                ("workload", workload.name()),
-                ("freqs", freqs.len().to_string()),
-                ("reps", opts.reps.to_string()),
-            ],
-        )
-    });
-
-    let trace = workload.record(spec);
-    let prices = Arc::new(PriceTable::new());
-    let make_queue =
-        |seed_off: u64, attempt: u32| replay_queue(spec, opts, &prices, seed_off, attempt);
-    // One replayed run = one Launch-level record; the level check comes
-    // before the field strings are built, so a sink not tracing down to
-    // launch granularity costs one comparison per rep, not allocations.
-    let launch_tel = tel.filter(|t| t.traces(SpanLevel::Launch));
-    let run_once = |q: &mut SynergyQueue| {
-        let failed = trace.try_replay_on(q).is_err();
-        if let Some(t) = launch_tel {
-            t.instant(
-                SpanLevel::Launch,
-                "replay",
-                vec![("submissions", q.submission_count().to_string())],
-            );
-        }
-        failed
-    };
-
-    // Baseline: the device's default configuration.
-    let (baseline, base_diag) = {
-        let _span =
-            tel.map(|t| t.span(SpanLevel::Point, "point", vec![("freq", "baseline".into())]));
-        measure_attempts(opts, |attempt| make_queue(0, attempt), run_once)
-    };
-    if let (Some(t), Some(m)) = (tel, &meters) {
-        m.record(t, baseline, &base_diag);
-    }
-
-    let results: Vec<(CharPoint, PointDiagnostics)> = freqs
-        .par_iter()
-        .enumerate()
-        .map(|(i, &f)| {
-            let _span =
-                tel.map(|t| t.span(SpanLevel::Point, "point", vec![("freq", format!("{f}"))]));
-            let (m, mut diag) = measure_attempts(
-                opts,
-                |attempt| {
-                    let mut q = make_queue(1 + i as u64, attempt);
-                    q.set_policy(synergy::FrequencyPolicy::Fixed(f));
-                    q
-                },
-                run_once,
-            );
-            diag.freq_mhz = Some(f);
-            if let (Some(t), Some(sm)) = (tel, &meters) {
-                sm.record(t, m, &diag);
-            }
-            (char_point(f, m, baseline), diag)
-        })
-        .collect();
-    let (points, diags): (Vec<CharPoint>, Vec<PointDiagnostics>) = results.into_iter().unzip();
-    if let Some(t) = tel {
-        t.record_pricing(prices.stats(), prices.len());
-    }
-
+    let (lattice, diag) =
+        characterize_lattice(spec, workload, &LatticeAxes::core_only(freqs), opts);
     (
         Characterization {
-            device: spec.name.clone(),
-            workload: workload.name(),
-            baseline_time_s: baseline.time_s,
-            baseline_energy_j: baseline.energy_j,
-            points,
+            device: lattice.device,
+            workload: lattice.workload,
+            baseline_time_s: lattice.baseline_time_s,
+            baseline_energy_j: lattice.baseline_energy_j,
+            points: lattice
+                .points
+                .iter()
+                .map(|p| CharPoint {
+                    freq_mhz: p.core_mhz,
+                    time_s: p.time_s,
+                    energy_j: p.energy_j,
+                    speedup: p.speedup,
+                    norm_energy: p.norm_energy,
+                })
+                .collect(),
         },
         SweepDiagnostics {
-            baseline: base_diag,
-            points: diags,
+            baseline: diag.baseline,
+            points: diag.points.into_iter().map(|p| p.diag).collect(),
         },
     )
 }
@@ -829,13 +751,7 @@ pub struct LatticeDiagnostics {
 impl LatticeDiagnostics {
     /// No point saw a fault, retried, fell back, or was re-measured.
     pub fn is_clean(&self) -> bool {
-        (!self.baseline.flagged
-            && self.baseline.remeasured == 0
-            && self.baseline.degradation.is_clean())
-            && self
-                .points
-                .iter()
-                .all(|p| !p.diag.flagged && p.diag.remeasured == 0 && p.diag.degradation.is_clean())
+        self.baseline.is_clean() && self.points.iter().all(|p| p.diag.is_clean())
     }
 
     /// Lattice points whose accepted measurement is still degraded.
@@ -853,8 +769,9 @@ impl LatticeDiagnostics {
     }
 }
 
-/// Sweeps the full configuration lattice `core × mem × cap` with the same
-/// trace-once / re-price-everywhere engine as [`characterize_with_options`].
+/// Sweeps the configuration lattice `core × mem × cap` — the one
+/// trace-once / re-price-everywhere sweep engine; [`characterize`] and
+/// [`characterize_with_options`] sweep its core-only lattice.
 ///
 /// Every lattice point pins its three actuators before replaying the trace:
 /// the memory clock (skipped when the point sits on the device's default,
@@ -904,7 +821,7 @@ pub fn characterize_lattice(
         t.registry().counter("sweep.runs").inc();
         t.span(
             SpanLevel::Sweep,
-            "lattice",
+            "sweep",
             vec![
                 ("device", spec.name.clone()),
                 ("workload", workload.name()),
@@ -920,7 +837,21 @@ pub fn characterize_lattice(
     let prices = Arc::new(PriceTable::new());
     let make_queue =
         |seed_off: u64, attempt: u32| replay_queue(spec, opts, &prices, seed_off, attempt);
-    let run_once = |q: &mut SynergyQueue| trace.try_replay_on(q).is_err();
+    // One replayed run = one Launch-level record; the level check comes
+    // before the field strings are built, so a sink not tracing down to
+    // launch granularity costs one comparison per rep, not allocations.
+    let launch_tel = tel.filter(|t| t.traces(SpanLevel::Launch));
+    let run_once = |q: &mut SynergyQueue| {
+        let failed = trace.try_replay_on(q).is_err();
+        if let Some(t) = launch_tel {
+            t.instant(
+                SpanLevel::Launch,
+                "replay",
+                vec![("submissions", q.submission_count().to_string())],
+            );
+        }
+        failed
+    };
 
     // Baseline: the device's default configuration — top memory clock,
     // uncapped, default core clock. Seed offset 0, exactly like the

@@ -15,15 +15,13 @@
 //! distributed points and single-device lattice points normalize against
 //! the same reference and their `speedup` / `norm_energy` columns are
 //! directly comparable. That comparability is what lets the governor's
-//! gang placement ([`choose_gang`][gang]) trade a bigger gang at a cheap
+//! gang placement (`governor::choose_gang`) trade a bigger gang at a cheap
 //! clock against one device at an expensive one.
 //!
 //! Telemetry is **inert by default**: an armed [`Telemetry`] sink only
 //! observes (spans plus the `synergy.exchange.*` counters via
 //! [`Telemetry::record_exchange`]) and leaves every measurement
 //! bit-identical — the tests below pin this.
-//!
-//! [gang]: https://docs.rs/governor
 
 use std::sync::Arc;
 

@@ -47,111 +47,50 @@ pub struct DsSample {
     pub energy_j: f64,
 }
 
-/// One lattice training sample: input features plus the full
-/// `(core, mem, cap)` operating configuration (the three-axis
-/// generalization of [`DsSample`]).
+/// One training sample keyed by a full operating configuration: the
+/// input features plus a `config` row whose width is the model's
+/// [`DomainSpecificModel::config_cols`] — `[core_mhz, mem_mhz, cap_w]` for
+/// a configuration lattice, with `num_devices` appended for a gang.
 ///
-/// The cap column is a plain finite wattage: pass the device TDP for
-/// uncapped points so the model sees one continuous axis instead of a
-/// sentinel.
+/// Every configuration value is a plain finite number: the cap column
+/// carries the device TDP for uncapped points, so the model sees one
+/// continuous axis instead of a sentinel, and the gang size is an exact
+/// small integer carried as `f64` so the design matrix stays one
+/// homogeneous float block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatticeSample {
+pub struct ConfigSample {
     /// Domain-specific input features `f⃗` (Table 2).
     pub features: Arc<Vec<f64>>,
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Measured execution time `t` (s).
+    /// The operating configuration the sample was measured at.
+    pub config: Vec<f64>,
+    /// Measured execution time (makespan, for a gang) `t` (s).
     pub time_s: f64,
-    /// Measured energy `e` (J).
+    /// Measured energy (summed over a gang) `e` (J).
     pub energy_j: f64,
 }
 
-/// One distributed training sample: input features plus the full gang
-/// configuration `(core, mem, cap, num_devices)` — the four-column
-/// generalization of [`LatticeSample`] produced by
-/// [`crate::distributed::characterize_distributed`].
-///
-/// `num_devices` is carried as `f64` so the design matrix stays one
-/// homogeneous float block; it is always an exact small integer.
+/// One predicted operating point, normalized to the model's default
+/// configuration (the configuration-keyed sibling of [`PredictedPoint`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistributedSample {
-    /// Domain-specific input features `f⃗` (Table 2).
-    pub features: Arc<Vec<f64>>,
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Gang size the sample was measured on.
-    pub num_devices: f64,
-    /// Measured makespan `t` (s).
-    pub time_s: f64,
-    /// Measured gang energy `e` (J).
-    pub energy_j: f64,
-}
-
-/// One predicted lattice operating point, normalized to the model's
-/// default configuration (the lattice sibling of
-/// [`PredictedPoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatticePredictedPoint {
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
+pub struct ConfigPredictedPoint {
+    /// The configuration, in the model's column order.
+    pub config: Vec<f64>,
     /// Predicted `t_default / t`.
     pub speedup: f64,
     /// Predicted `e / e_default`.
     pub norm_energy: f64,
 }
 
-/// One input's predicted lattice curve: the default-configuration anchors
-/// plus the normalized surface points.
+/// One input's predicted configuration surface: the default-configuration
+/// anchors plus the normalized points.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LatticeCurvePrediction {
+pub struct ConfigCurvePrediction {
     /// Predicted execution time at the default configuration (s).
     pub default_time_s: f64,
     /// Predicted energy at the default configuration (J).
     pub default_energy_j: f64,
-    /// Normalized predictions over the requested lattice points.
-    pub curve: Vec<LatticePredictedPoint>,
-}
-
-/// One predicted distributed operating point, normalized to the model's
-/// default configuration (the gang sibling of [`LatticePredictedPoint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DistributedPredictedPoint {
-    /// Core frequency (MHz).
-    pub core_mhz: f64,
-    /// Memory frequency (MHz).
-    pub mem_mhz: f64,
-    /// Effective power cap (W); the device TDP when uncapped.
-    pub cap_w: f64,
-    /// Gang size.
-    pub num_devices: f64,
-    /// Predicted `t_default / t`.
-    pub speedup: f64,
-    /// Predicted `e / e_default`.
-    pub norm_energy: f64,
-}
-
-/// One input's predicted distributed surface: the default-configuration
-/// anchors plus the normalized gang points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistributedCurvePrediction {
-    /// Predicted makespan at the default configuration (s).
-    pub default_time_s: f64,
-    /// Predicted energy at the default configuration (J).
-    pub default_energy_j: f64,
-    /// Normalized predictions over the requested gang points.
-    pub curve: Vec<DistributedPredictedPoint>,
+    /// Normalized predictions over the requested configurations.
+    pub curve: Vec<ConfigPredictedPoint>,
 }
 
 /// The regression algorithms the paper compares.
@@ -293,26 +232,49 @@ pub struct CurvePrediction {
     pub curve: Vec<PredictedPoint>,
 }
 
-fn build_design(samples: &[DsSample]) -> (Matrix, Vec<f64>, Vec<f64>) {
-    let n_features = samples[0].features.len();
-    let mut x = Matrix::with_cols(n_features + 1);
-    let mut y_time = Vec::with_capacity(samples.len());
-    let mut y_energy = Vec::with_capacity(samples.len());
-    let mut row = Vec::with_capacity(n_features + 1);
-    for s in samples {
-        assert_eq!(s.features.len(), n_features, "ragged feature vectors");
+/// Builds the design matrix — each row the input features followed by the
+/// configuration columns — and the log-space targets.
+fn build_design<'a>(
+    rows: impl ExactSizeIterator<Item = (&'a [f64], &'a [f64], f64, f64)>,
+    n_features: usize,
+    config_cols: usize,
+) -> (Matrix, Vec<f64>, Vec<f64>) {
+    let mut x = Matrix::with_cols(n_features + config_cols);
+    let mut y_time = Vec::with_capacity(rows.len());
+    let mut y_energy = Vec::with_capacity(rows.len());
+    let mut row = Vec::with_capacity(n_features + config_cols);
+    for (features, config, time_s, energy_j) in rows {
+        assert_eq!(features.len(), n_features, "ragged feature vectors");
+        assert_eq!(config.len(), config_cols, "configuration width mismatch");
         assert!(
-            s.time_s > 0.0 && s.energy_j > 0.0,
+            config.iter().all(|c| c.is_finite() && *c > 0.0),
+            "configuration values must be finite and positive"
+        );
+        assert!(
+            time_s > 0.0 && energy_j > 0.0,
             "times and energies must be positive"
         );
         row.clear();
-        row.extend_from_slice(&s.features);
-        row.push(s.freq_mhz);
+        row.extend_from_slice(features);
+        row.extend_from_slice(config);
         x.push_row(&row);
-        y_time.push(s.time_s.ln());
-        y_energy.push(s.energy_j.ln());
+        y_time.push(time_s.ln());
+        y_energy.push(energy_j.ln());
     }
     (x, y_time, y_energy)
+}
+
+/// The frequency samples' design: one configuration column, the frequency.
+fn freq_design(samples: &[DsSample]) -> (Matrix, Vec<f64>, Vec<f64>) {
+    let rows = samples.iter().map(|s| {
+        (
+            s.features.as_slice(),
+            std::slice::from_ref(&s.freq_mhz),
+            s.time_s,
+            s.energy_j,
+        )
+    });
+    build_design(rows, samples[0].features.len(), 1)
 }
 
 impl DomainSpecificModel {
@@ -338,130 +300,77 @@ impl DomainSpecificModel {
         seed: u64,
     ) -> Self {
         assert!(!samples.is_empty(), "empty training set");
-        let (x, y_time, y_energy) = build_design(samples);
+        let (x, y_time, y_energy) = freq_design(samples);
+        DomainSpecificModel::fit(&x, &y_time, &y_energy, algorithm, seed, &[default_freq_mhz])
+    }
+
+    /// Trains the Random Forest model pair on configuration-keyed samples:
+    /// the design matrix carries one column per configuration value after
+    /// the input features, so `config_cols` is the samples' (and
+    /// `default_config`'s) width — 3 for a `(core, mem, cap)` lattice, 4
+    /// for a gang, whose extra `num_devices` column lets one model price
+    /// the compute/communication trade-off. Predictions normalize by the
+    /// predicted values at `default_config` (conventionally the device
+    /// default; the 1-device default for gangs). A width-1 sample set
+    /// trains exactly the model [`DomainSpecificModel::train`] does.
+    ///
+    /// # Panics
+    /// Panics on an empty sample set, inconsistent feature widths, or a
+    /// sample whose configuration width differs from `default_config`'s.
+    pub fn train_config(samples: &[ConfigSample], default_config: &[f64], seed: u64) -> Self {
+        assert!(!samples.is_empty(), "empty training set");
+        let rows = samples.iter().map(|s| {
+            (
+                s.features.as_slice(),
+                s.config.as_slice(),
+                s.time_s,
+                s.energy_j,
+            )
+        });
+        let (x, y_time, y_energy) =
+            build_design(rows, samples[0].features.len(), default_config.len());
+        DomainSpecificModel::fit(
+            &x,
+            &y_time,
+            &y_energy,
+            Algorithm::RandomForest,
+            seed,
+            default_config,
+        )
+    }
+
+    /// Fits the time and energy models on one design and compiles their
+    /// flat layouts. `default_config` is the normalization anchor; its
+    /// width is the design's configuration width.
+    fn fit(
+        x: &Matrix,
+        y_time: &[f64],
+        y_energy: &[f64],
+        algorithm: Algorithm,
+        seed: u64,
+        default_config: &[f64],
+    ) -> Self {
+        let config_cols = default_config.len();
         let mut time_model = algorithm.build(seed);
-        time_model.fit(&x, &y_time);
+        time_model.fit(x, y_time);
         let mut energy_model = algorithm.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
+        energy_model.fit(x, y_energy);
         let time_flat = time_model.compile_flat();
         let energy_flat = energy_model.compile_flat();
         DomainSpecificModel {
             time_model,
             energy_model,
             algorithm,
-            n_features: samples[0].features.len(),
-            default_freq_mhz,
-            config_cols: 1,
-            default_config: Vec::new(),
-            time_flat,
-            energy_flat,
-        }
-    }
-
-    /// Trains the Random Forest model pair on configuration-lattice
-    /// samples: the design matrix carries **three** configuration columns
-    /// (`core_mhz`, `mem_mhz`, `cap_w`) after the input features, and
-    /// predictions are normalized by `default_config` instead of a bare
-    /// default frequency. Legacy (frequency-only) training paths are
-    /// untouched — their design matrices, seeds, and predictions stay
-    /// bit-identical.
-    ///
-    /// # Panics
-    /// Panics on an empty sample set or inconsistent feature widths.
-    pub fn train_lattice(samples: &[LatticeSample], default_config: [f64; 3], seed: u64) -> Self {
-        assert!(!samples.is_empty(), "empty training set");
-        let n_features = samples[0].features.len();
-        let mut x = Matrix::with_cols(n_features + 3);
-        let mut y_time = Vec::with_capacity(samples.len());
-        let mut y_energy = Vec::with_capacity(samples.len());
-        let mut row = Vec::with_capacity(n_features + 3);
-        for s in samples {
-            assert_eq!(s.features.len(), n_features, "ragged feature vectors");
-            assert!(
-                s.time_s > 0.0 && s.energy_j > 0.0,
-                "times and energies must be positive"
-            );
-            row.clear();
-            row.extend_from_slice(&s.features);
-            row.push(s.core_mhz);
-            row.push(s.mem_mhz);
-            row.push(s.cap_w);
-            x.push_row(&row);
-            y_time.push(s.time_s.ln());
-            y_energy.push(s.energy_j.ln());
-        }
-        let mut time_model = Algorithm::RandomForest.build(seed);
-        time_model.fit(&x, &y_time);
-        let mut energy_model = Algorithm::RandomForest.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
-        let time_flat = time_model.compile_flat();
-        let energy_flat = energy_model.compile_flat();
-        DomainSpecificModel {
-            time_model,
-            energy_model,
-            algorithm: Algorithm::RandomForest,
-            n_features,
+            n_features: x.cols() - config_cols,
             default_freq_mhz: default_config[0],
-            config_cols: 3,
-            default_config: default_config.to_vec(),
-            time_flat,
-            energy_flat,
-        }
-    }
-
-    /// Trains the Random Forest model pair on distributed gang samples:
-    /// the design matrix carries **four** configuration columns
-    /// (`core_mhz`, `mem_mhz`, `cap_w`, `num_devices`) after the input
-    /// features, so one model prices the compute/communication trade-off —
-    /// bigger gangs finish sooner but pay halo-exchange and barrier
-    /// energy. Normalization anchors on `default_config` (conventionally
-    /// the 1-device default clock point). Lattice and legacy training
-    /// paths are untouched.
-    ///
-    /// # Panics
-    /// Panics on an empty sample set or inconsistent feature widths.
-    pub fn train_distributed(
-        samples: &[DistributedSample],
-        default_config: [f64; 4],
-        seed: u64,
-    ) -> Self {
-        assert!(!samples.is_empty(), "empty training set");
-        let n_features = samples[0].features.len();
-        let mut x = Matrix::with_cols(n_features + 4);
-        let mut y_time = Vec::with_capacity(samples.len());
-        let mut y_energy = Vec::with_capacity(samples.len());
-        let mut row = Vec::with_capacity(n_features + 4);
-        for s in samples {
-            assert_eq!(s.features.len(), n_features, "ragged feature vectors");
-            assert!(
-                s.time_s > 0.0 && s.energy_j > 0.0,
-                "times and energies must be positive"
-            );
-            assert!(s.num_devices >= 1.0, "gangs need at least one device");
-            row.clear();
-            row.extend_from_slice(&s.features);
-            row.push(s.core_mhz);
-            row.push(s.mem_mhz);
-            row.push(s.cap_w);
-            row.push(s.num_devices);
-            x.push_row(&row);
-            y_time.push(s.time_s.ln());
-            y_energy.push(s.energy_j.ln());
-        }
-        let mut time_model = Algorithm::RandomForest.build(seed);
-        time_model.fit(&x, &y_time);
-        let mut energy_model = Algorithm::RandomForest.build(seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
-        let time_flat = time_model.compile_flat();
-        let energy_flat = energy_model.compile_flat();
-        DomainSpecificModel {
-            time_model,
-            energy_model,
-            algorithm: Algorithm::RandomForest,
-            n_features,
-            default_freq_mhz: default_config[0],
-            config_cols: 4,
-            default_config: default_config.to_vec(),
+            config_cols,
+            // A frequency model's anchor is `default_freq_mhz` alone; its
+            // serialized form keeps the pre-lattice empty list.
+            default_config: if config_cols == 1 {
+                Vec::new()
+            } else {
+                default_config.to_vec()
+            },
             time_flat,
             energy_flat,
         }
@@ -490,7 +399,7 @@ impl DomainSpecificModel {
         seed: u64,
     ) -> (Self, Vec<(Algorithm, f64)>) {
         assert!(samples.len() >= 10, "too few samples for model selection");
-        let (x, _, _) = build_design(samples);
+        let (x, _, _) = freq_design(samples);
         let feature_cols: Vec<usize> = (0..samples[0].features.len()).collect();
         let groups = ml::cv::groups_from_columns(&x, &feature_cols);
         let folds = ml::cv::leave_one_group_out(&groups);
@@ -548,23 +457,7 @@ impl DomainSpecificModel {
     /// # Panics
     /// Panics on a feature-width mismatch.
     pub fn predict_time_energy(&self, features: &[f64], freq_mhz: f64) -> (f64, f64) {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 1,
-            "lattice model needs a full configuration, not a bare frequency"
-        );
-        let mut row = Vec::with_capacity(self.n_features + 1);
-        row.extend_from_slice(features);
-        row.push(freq_mhz);
-        let t = match &self.time_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.time_model.predict_row(&row),
-        };
-        let e = match &self.energy_flat {
-            Some(flat) => flat.predict_row(&row),
-            None => self.energy_model.predict_row(&row),
-        };
-        (t.exp(), e.exp())
+        self.predict_time_energy_config(features, std::slice::from_ref(&freq_mhz))
     }
 
     /// Pointer-walk reference for [`DomainSpecificModel::predict_time_energy`]:
@@ -760,34 +653,61 @@ impl DomainSpecificModel {
         (t.exp(), e.exp())
     }
 
-    /// The lattice prediction phase: speedup and normalized energy over
-    /// explicit `(core, mem, cap)` points, normalized by the *predicted*
-    /// default-configuration values — the three-axis Figure-12. The anchor
-    /// row and every point row go through one batched model pass per
-    /// target.
+    /// The configuration prediction phase — Figure 12 over any number of
+    /// configuration axes: speedup and normalized energy over explicit
+    /// `points`, each [`DomainSpecificModel::config_cols`] wide,
+    /// normalized by the *predicted* default-configuration values.
+    ///
+    /// A width-1 (frequency) model takes the sweep-aware flat path of
+    /// [`DomainSpecificModel::predict_curves_batch`]; wider models send the
+    /// anchor row and every point row through one batched model pass per
+    /// target. Both are bit-identical to the row-at-a-time
+    /// [`DomainSpecificModel::predict_time_energy_config`].
     ///
     /// # Panics
-    /// Panics unless the model was trained by
-    /// [`DomainSpecificModel::train_lattice`], or on a feature-width
-    /// mismatch.
-    pub fn predict_lattice_curve(
+    /// Panics on a feature-width mismatch or a point whose width is not
+    /// the model's `config_cols`.
+    pub fn predict_config_curve<P: AsRef<[f64]>>(
         &self,
         features: &[f64],
-        points: &[[f64; 3]],
-    ) -> LatticeCurvePrediction {
+        points: &[P],
+    ) -> ConfigCurvePrediction {
         assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 3,
-            "frequency-only model cannot price a configuration lattice"
-        );
-        let mut x = Matrix::with_cols(self.n_features + 3);
-        let mut row = Vec::with_capacity(self.n_features + 3);
+        for p in points {
+            assert_eq!(
+                p.as_ref().len(),
+                self.config_cols,
+                "configuration width mismatch"
+            );
+        }
+        if self.config_cols == 1 {
+            let freqs: Vec<f64> = points.iter().map(|p| p.as_ref()[0]).collect();
+            let prediction = self
+                .predict_curves_batch(&[features], &freqs)
+                .pop()
+                .expect("one input yields one curve");
+            return ConfigCurvePrediction {
+                default_time_s: prediction.default_time_s,
+                default_energy_j: prediction.default_energy_j,
+                curve: prediction
+                    .curve
+                    .into_iter()
+                    .map(|p| ConfigPredictedPoint {
+                        config: vec![p.freq_mhz],
+                        speedup: p.speedup,
+                        norm_energy: p.norm_energy,
+                    })
+                    .collect(),
+            };
+        }
+        let mut x = Matrix::with_cols(self.n_features + self.config_cols);
+        let mut row = Vec::with_capacity(self.n_features + self.config_cols);
         row.extend_from_slice(features);
         row.extend_from_slice(&self.default_config);
         x.push_row(&row);
         for p in points {
             row.truncate(self.n_features);
-            row.extend_from_slice(p);
+            row.extend_from_slice(p.as_ref());
             x.push_row(&row);
         }
         let mut t_log = Vec::with_capacity(x.rows());
@@ -807,78 +727,13 @@ impl DomainSpecificModel {
         let curve = points
             .iter()
             .enumerate()
-            .map(|(j, p)| LatticePredictedPoint {
-                core_mhz: p[0],
-                mem_mhz: p[1],
-                cap_w: p[2],
+            .map(|(j, p)| ConfigPredictedPoint {
+                config: p.as_ref().to_vec(),
                 speedup: t_def / t_log[1 + j].exp(),
                 norm_energy: e_log[1 + j].exp() / e_def,
             })
             .collect();
-        LatticeCurvePrediction {
-            default_time_s: t_def,
-            default_energy_j: e_def,
-            curve,
-        }
-    }
-
-    /// The distributed prediction phase: speedup and normalized energy
-    /// over explicit `(core, mem, cap, num_devices)` gang points,
-    /// normalized by the *predicted* default-configuration values — the
-    /// four-axis Figure-12. The anchor row and every point row go through
-    /// one batched model pass per target.
-    ///
-    /// # Panics
-    /// Panics unless the model was trained by
-    /// [`DomainSpecificModel::train_distributed`], or on a feature-width
-    /// mismatch.
-    pub fn predict_distributed_curve(
-        &self,
-        features: &[f64],
-        points: &[[f64; 4]],
-    ) -> DistributedCurvePrediction {
-        assert_eq!(features.len(), self.n_features, "feature width mismatch");
-        assert_eq!(
-            self.config_cols, 4,
-            "only a distributed model can price a gang surface"
-        );
-        let mut x = Matrix::with_cols(self.n_features + 4);
-        let mut row = Vec::with_capacity(self.n_features + 4);
-        row.extend_from_slice(features);
-        row.extend_from_slice(&self.default_config);
-        x.push_row(&row);
-        for p in points {
-            row.truncate(self.n_features);
-            row.extend_from_slice(p);
-            x.push_row(&row);
-        }
-        let mut t_log = Vec::with_capacity(x.rows());
-        let mut e_log = Vec::with_capacity(x.rows());
-        match (&self.time_flat, &self.energy_flat) {
-            (Some(tf), Some(ef)) => {
-                tf.predict_batch_into(&x, &mut t_log);
-                ef.predict_batch_into(&x, &mut e_log);
-            }
-            _ => {
-                self.time_model.predict_batch(&x, &mut t_log);
-                self.energy_model.predict_batch(&x, &mut e_log);
-            }
-        }
-        let t_def = t_log[0].exp();
-        let e_def = e_log[0].exp();
-        let curve = points
-            .iter()
-            .enumerate()
-            .map(|(j, p)| DistributedPredictedPoint {
-                core_mhz: p[0],
-                mem_mhz: p[1],
-                cap_w: p[2],
-                num_devices: p[3],
-                speedup: t_def / t_log[1 + j].exp(),
-                norm_energy: e_log[1 + j].exp() / e_def,
-            })
-            .collect();
-        DistributedCurvePrediction {
+        ConfigCurvePrediction {
             default_time_s: t_def,
             default_energy_j: e_def,
             curve,
@@ -887,14 +742,14 @@ impl DomainSpecificModel {
 
     /// How many configuration columns the design matrix carries after the
     /// input features: 1 (frequency) for legacy models, 3 for lattice
-    /// models, 4 for distributed models.
+    /// models, 4 for gang models.
     pub fn config_cols(&self) -> usize {
         self.config_cols
     }
 
     /// The default operating configuration predictions normalize by:
     /// `[core, mem, cap]` for lattice models, `[default_freq_mhz]` for
-    /// legacy ones.
+    /// legacy ones (always `config_cols` wide).
     pub fn default_config(&self) -> Vec<f64> {
         if self.default_config.is_empty() {
             vec![self.default_freq_mhz]
@@ -1150,12 +1005,12 @@ mod tests {
         let _ = model.predict_time_energy(&[1.0], 500.0);
     }
 
-    // ---- Configuration-lattice models ----
+    // ---- Configuration-keyed (lattice and gang) models ----
 
     /// Synthetic lattice app: the memory clock moves the roofline, the cap
     /// stretches time when it binds — the qualitative response surface of
-    /// the simulator's power model.
-    fn synth_lattice_samples(inputs: &[(f64, f64)]) -> Vec<LatticeSample> {
+    /// the simulator's power model. Configurations are `[core, mem, cap]`.
+    fn synth_lattice_samples(inputs: &[(f64, f64)]) -> Vec<ConfigSample> {
         let mut out = Vec::new();
         for &(a, b) in inputs {
             let work = a * b * 1e6;
@@ -1168,11 +1023,9 @@ mod tests {
                         let stretch = (raw_power / cap).max(1.0);
                         let time = (work / (eff * 1e6) + 4.0e-5) * stretch;
                         let power = raw_power.min(cap);
-                        out.push(LatticeSample {
+                        out.push(ConfigSample {
                             features: Arc::new(vec![a, b]),
-                            core_mhz: f,
-                            mem_mhz: m,
-                            cap_w: cap,
+                            config: vec![f, m, cap],
                             time_s: time,
                             energy_j: time * power,
                         });
@@ -1183,54 +1036,250 @@ mod tests {
         out
     }
 
+    /// Synthetic strong-scaling app: compute shrinks as `1/d`, the halo
+    /// exchange cost is fixed per device — the qualitative surface
+    /// `cronos::DistributedGpuCronos` measures. Configurations are
+    /// `[core, mem, cap, num_devices]`.
+    fn synth_distributed_samples(inputs: &[(f64, f64)]) -> Vec<ConfigSample> {
+        let mut out = Vec::new();
+        for &(a, b) in inputs {
+            let work = a * b * 1e6;
+            for &f in &[600.0f64, 900.0, 1200.0, 1500.0] {
+                for &d in &[1.0f64, 2.0, 4.0, 8.0] {
+                    let eff = f.min(900.0);
+                    let exchange = if d > 1.0 { 6.0e-5 } else { 0.0 };
+                    let time = work / (d * eff * 1e6) + 4.0e-5 + exchange;
+                    let power = 50.0 + 0.1 * f;
+                    out.push(ConfigSample {
+                        features: Arc::new(vec![a, b]),
+                        config: vec![f, 1100.0, 300.0, d],
+                        time_s: time,
+                        energy_j: time * power * d,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    const LATTICE_DEFAULT: [f64; 3] = [1500.0, 1100.0, 300.0];
+    const DIST_DEFAULT: [f64; 4] = [1500.0, 1100.0, 300.0, 1.0];
+
+    fn lattice_model(seed: u64) -> DomainSpecificModel {
+        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
+        DomainSpecificModel::train_config(&samples, &LATTICE_DEFAULT, seed)
+    }
+
+    fn gang_model(seed: u64) -> DomainSpecificModel {
+        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
+        DomainSpecificModel::train_config(&samples, &DIST_DEFAULT, seed)
+    }
+
     #[test]
-    fn lattice_model_fits_training_configurations() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0), (10.0, 10.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        assert_eq!(model.config_cols(), 3);
-        assert_eq!(model.default_config(), vec![1500.0, 1100.0, 300.0]);
-        for s in samples.iter().step_by(5) {
-            let (t, e) =
-                model.predict_time_energy_config(&s.features, &[s.core_mhz, s.mem_mhz, s.cap_w]);
-            assert!((t - s.time_s).abs() / s.time_s < 0.15, "time");
-            assert!((e - s.energy_j).abs() / s.energy_j < 0.15, "energy");
+    fn config_models_fit_training_configurations() {
+        let inputs = [(2.0, 3.0), (4.0, 5.0), (8.0, 2.0), (10.0, 10.0)];
+        for (samples, default, tol) in [
+            (synth_lattice_samples(&inputs), &LATTICE_DEFAULT[..], 0.15),
+            (synth_distributed_samples(&inputs), &DIST_DEFAULT[..], 0.2),
+        ] {
+            let model = DomainSpecificModel::train_config(&samples, default, 0);
+            assert_eq!(model.config_cols(), default.len());
+            assert_eq!(model.default_config(), default.to_vec());
+            for s in samples.iter().step_by(5) {
+                let (t, e) = model.predict_time_energy_config(&s.features, &s.config);
+                assert!((t - s.time_s).abs() / s.time_s < tol, "time");
+                assert!((e - s.energy_j).abs() / s.energy_j < tol, "energy");
+            }
         }
     }
 
     #[test]
-    fn lattice_curve_normalizes_to_default_config() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let default = [1500.0, 1100.0, 300.0];
-        let model = DomainSpecificModel::train_lattice(&samples, default, 0);
-        let pred = model.predict_lattice_curve(&[4.0, 5.0], &[default]);
-        assert!((pred.curve[0].speedup - 1.0).abs() < 1e-9);
-        assert!((pred.curve[0].norm_energy - 1.0).abs() < 1e-9);
-        // And the curve rows agree with the row-at-a-time config path.
-        let pts = [[900.0, 800.0, 150.0], [1200.0, 1100.0, 300.0]];
-        let pred = model.predict_lattice_curve(&[4.0, 5.0], &pts);
-        let (t_def, e_def) = model.predict_time_energy_config(&[4.0, 5.0], &default);
-        for (p, cfg) in pred.curve.iter().zip(&pts) {
-            let (t, e) = model.predict_time_energy_config(&[4.0, 5.0], cfg);
-            assert_eq!(p.speedup.to_bits(), (t_def / t).to_bits());
-            assert_eq!(p.norm_energy.to_bits(), (e / e_def).to_bits());
+    fn config_curve_normalizes_to_default_config() {
+        let lattice_pts = vec![vec![900.0, 800.0, 150.0], vec![1200.0, 1100.0, 300.0]];
+        let gang_pts = vec![
+            vec![900.0, 1100.0, 300.0, 2.0],
+            vec![1200.0, 1100.0, 300.0, 4.0],
+        ];
+        for (model, default, pts) in [
+            (lattice_model(0), &LATTICE_DEFAULT[..], lattice_pts),
+            (gang_model(0), &DIST_DEFAULT[..], gang_pts),
+        ] {
+            let pred = model.predict_config_curve(&[4.0, 5.0], &[default]);
+            assert!((pred.curve[0].speedup - 1.0).abs() < 1e-9);
+            assert!((pred.curve[0].norm_energy - 1.0).abs() < 1e-9);
+            // And the curve rows agree with the row-at-a-time config path.
+            let pred = model.predict_config_curve(&[4.0, 5.0], &pts);
+            let (t_def, e_def) = model.predict_time_energy_config(&[4.0, 5.0], default);
+            for (p, cfg) in pred.curve.iter().zip(&pts) {
+                assert_eq!(&p.config, cfg);
+                let (t, e) = model.predict_time_energy_config(&[4.0, 5.0], cfg);
+                assert_eq!(p.speedup.to_bits(), (t_def / t).to_bits());
+                assert_eq!(p.norm_energy.to_bits(), (e / e_def).to_bits());
+            }
+            assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
+            assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
         }
-        assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
-        assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
+    }
+
+    /// Checks one predicted surface against pinned `to_bits` values:
+    /// `[default_time, default_energy, (speedup, norm_energy)…]`.
+    fn assert_golden(pred: &ConfigCurvePrediction, golden: &[u64]) {
+        let mut got = vec![
+            pred.default_time_s.to_bits(),
+            pred.default_energy_j.to_bits(),
+        ];
+        for p in &pred.curve {
+            got.push(p.speedup.to_bits());
+            got.push(p.norm_energy.to_bits());
+        }
+        assert_eq!(got, golden);
+    }
+
+    /// `(input, [default_time, default_energy, (speedup, norm_energy)…])`
+    /// at each pinned point, as `to_bits`.
+    #[rustfmt::skip]
+    const LATTICE_GOLDENS: [([f64; 2], [u64; 12]); 3] = [
+        (
+            [4.0, 5.0],
+            [
+                0x3f957d698aaf404e, 0x4011ec8257c389c0, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3fe6992736ec72d8, 0x3feefc606b5ac715,
+                0x3ff010bbdcb86242, 0x3febee97e5e41105, 0x3fe4f252f5c904f1,
+                0x3fef7cbdb01c9e75, 0x3fe43c95aa7a72e6, 0x3ff1cdceac21de2b,
+            ],
+        ),
+        (
+            [2.0, 3.0],
+            [
+                0x3f79992bf29381b0, 0x3ff5241afa2f0aa3, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3fe5b1b54391ffd2, 0x3fefb10edf3c2f9b,
+                0x3fef42971303d320, 0x3fec3ba53dc212e4, 0x3fe4a7cc83e49eea,
+                0x3ff011b140f3569e, 0x3fe3faf274183371, 0x3ff23878d8183aa3,
+            ],
+        ),
+        (
+            [8.0, 2.0],
+            [
+                0x3f917b10d1cdc6ef, 0x400bfd8ed7d45de8, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3fe68c0e16bcb494, 0x3ff000ea8974f57e,
+                0x3fefe6d4bbbd9bdb, 0x3fec4ce8aded0c12, 0x3fe4943b13da32eb,
+                0x3ff023b04ec3076f, 0x3fe4cc8b2f04b218, 0x3ff231aa41044c1d,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn lattice_predictions_match_the_pinned_goldens() {
+        // Pinned from the dedicated three-column lattice predictor this
+        // path replaced: the merged predictor must reproduce it bit for bit.
+        let model = lattice_model(0);
+        let pts = [
+            [1500.0, 1100.0, 300.0],
+            [900.0, 800.0, 150.0],
+            [1200.0, 1100.0, 300.0],
+            [600.0, 800.0, 300.0],
+            [1350.0, 950.0, 220.0],
+        ];
+        for (input, golden) in &LATTICE_GOLDENS {
+            assert_golden(&model.predict_config_curve(input, &pts), golden);
+        }
+    }
+
+    /// `(input, [default_time, default_energy, (speedup, norm_energy)…])`
+    /// at each pinned point, as `to_bits`.
+    #[rustfmt::skip]
+    const GANG_GOLDENS: [([f64; 2], [u64; 12]); 3] = [
+        (
+            [4.0, 5.0],
+            [
+                0x3f96dda762982cc2, 0x4011dd69923366bd, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3fff29008cb6b990, 0x3fe68637d83ad557,
+                0x401016c7a5b01705, 0x3fead94f9daf42f1, 0x40175f74ce58ab9a,
+                0x3fea8d4041dbb3f4, 0x3fffc5a004a86ffa, 0x3fe69745f792ba28,
+            ],
+        ),
+        (
+            [2.0, 3.0],
+            [
+                0x3f7b2f35f971202b, 0x3ff5b5400afd26aa, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3ffca230690df8be, 0x3fe6b78f9c60d414,
+                0x400d57980e62c454, 0x3febb55c5c803e7d, 0x4015120777dcf45f,
+                0x3feb5eef95de93ae, 0x3ffdca11130bfe0a, 0x3fe6f3b9b9e03fdd,
+            ],
+        ),
+        (
+            [8.0, 2.0],
+            [
+                0x3f9284af6ec52682, 0x400ca47c8da33f16, 0x3ff0000000000000,
+                0x3ff0000000000000, 0x3fff41163bb55b22, 0x3fe68c29be5318d2,
+                0x400fdd46b39294a7, 0x3feb71e31e31ea85, 0x40159953f29f4d79,
+                0x3fea765939cd8ba1, 0x40001c58e50f4e68, 0x3fe69b9415c1ca0c,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn gang_predictions_match_the_pinned_goldens() {
+        // Pinned from the dedicated four-column gang predictor this path
+        // replaced: the merged predictor must reproduce it bit for bit.
+        let model = gang_model(0);
+        let pts = [
+            [1500.0, 1100.0, 300.0, 1.0],
+            [900.0, 1100.0, 300.0, 2.0],
+            [1200.0, 1100.0, 300.0, 4.0],
+            [600.0, 1100.0, 300.0, 8.0],
+            [1050.0, 1100.0, 300.0, 3.0],
+        ];
+        for (input, golden) in &GANG_GOLDENS {
+            assert_golden(&model.predict_config_curve(input, &pts), golden);
+        }
     }
 
     #[test]
-    fn lattice_model_json_round_trip_keeps_config_cols() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 4);
-        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(back.config_cols(), 3);
-        assert_eq!(back.default_config(), model.default_config());
-        assert!(back.has_flat());
-        let cfg = [900.0, 800.0, 150.0];
-        let (t0, e0) = model.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        let (t1, e1) = back.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        assert!(((t1 - t0) / t0).abs() < 1e-12);
-        assert!(((e1 - e0) / e0).abs() < 1e-12);
+    fn width_one_config_path_is_the_frequency_path() {
+        // A width-1 configuration model is the frequency model: same
+        // training, same serialized form, and its configuration curve is
+        // the sweep-aware `predict_curve` bit for bit.
+        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
+        let as_config: Vec<ConfigSample> = samples
+            .iter()
+            .map(|s| ConfigSample {
+                features: Arc::clone(&s.features),
+                config: vec![s.freq_mhz],
+                time_s: s.time_s,
+                energy_j: s.energy_j,
+            })
+            .collect();
+        let legacy = DomainSpecificModel::train(&samples, 855.0, 3);
+        let config = DomainSpecificModel::train_config(&as_config, &[855.0], 3);
+        assert_eq!(config.to_json(), legacy.to_json());
+        let fs = freqs();
+        let pts: Vec<[f64; 1]> = fs.iter().map(|&f| [f]).collect();
+        let surface = config.predict_config_curve(&[4.0, 5.0], &pts);
+        let curve = legacy.predict_curve(&[4.0, 5.0], &fs);
+        assert_eq!(surface.curve.len(), curve.len());
+        for (a, b) in surface.curve.iter().zip(&curve) {
+            assert_eq!(a.config, vec![b.freq_mhz]);
+            assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
+            assert_eq!(a.norm_energy.to_bits(), b.norm_energy.to_bits());
+        }
+    }
+
+    #[test]
+    fn config_model_json_round_trip_keeps_config_cols() {
+        for (model, cfg) in [
+            (lattice_model(4), vec![900.0, 800.0, 150.0]),
+            (gang_model(4), vec![900.0, 1100.0, 300.0, 4.0]),
+        ] {
+            let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
+            assert_eq!(back.config_cols(), model.config_cols());
+            assert_eq!(back.default_config(), model.default_config());
+            assert!(back.has_flat());
+            let (t0, e0) = model.predict_time_energy_config(&[4.0, 5.0], &cfg);
+            let (t1, e1) = back.predict_time_energy_config(&[4.0, 5.0], &cfg);
+            assert!(((t1 - t0) / t0).abs() < 1e-12);
+            assert!(((e1 - e0) / e0).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -1262,116 +1311,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lattice model needs a full configuration")]
-    fn lattice_model_rejects_bare_frequency_prediction() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        let _ = model.predict_time_energy(&[2.0, 3.0], 900.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency-only model cannot price a configuration lattice")]
-    fn legacy_model_rejects_lattice_curve() {
-        let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs());
-        let model = DomainSpecificModel::train(&samples, 855.0, 0);
-        let _ = model.predict_lattice_curve(&[2.0, 3.0], &[[900.0, 800.0, 150.0]]);
-    }
-
-    // ---- Distributed (gang) models ----
-
-    /// Synthetic strong-scaling app: compute shrinks as `1/d`, the halo
-    /// exchange cost is fixed per device — the qualitative surface the
-    /// decomposed Cronos driver measures.
-    fn synth_distributed_samples(inputs: &[(f64, f64)]) -> Vec<DistributedSample> {
-        let mut out = Vec::new();
-        for &(a, b) in inputs {
-            let work = a * b * 1e6;
-            for &f in &[600.0f64, 900.0, 1200.0, 1500.0] {
-                for &d in &[1.0f64, 2.0, 4.0, 8.0] {
-                    let eff = f.min(900.0);
-                    let exchange = if d > 1.0 { 6.0e-5 } else { 0.0 };
-                    let time = work / (d * eff * 1e6) + 4.0e-5 + exchange;
-                    let power = 50.0 + 0.1 * f;
-                    out.push(DistributedSample {
-                        features: Arc::new(vec![a, b]),
-                        core_mhz: f,
-                        mem_mhz: 1100.0,
-                        cap_w: 300.0,
-                        num_devices: d,
-                        time_s: time,
-                        energy_j: time * power * d,
-                    });
-                }
+    fn every_predictor_rejects_a_configuration_of_the_wrong_width() {
+        // Models of width 1, 3 and 4, each offered every other width on
+        // the curve path, the row path and (for the wider ones) the bare
+        // frequency path: all must panic on the width, never mis-price.
+        let freq_model = DomainSpecificModel::train(
+            &synth_samples(&[(2.0, 3.0), (4.0, 5.0)], &freqs()),
+            855.0,
+            0,
+        );
+        let config = |width: usize| vec![900.0; width];
+        let panics_on_width = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("a width mismatch must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("configuration width mismatch")
+                    || msg.contains("lattice model needs a full configuration"),
+                "unexpected panic: {msg}"
+            );
+        };
+        for model in [freq_model, lattice_model(0), gang_model(0)] {
+            let width = model.config_cols();
+            for other in [1, 3, 4].into_iter().filter(|&w| w != width) {
+                panics_on_width(&|| {
+                    let _ = model.predict_config_curve(&[2.0, 3.0], &[config(other)]);
+                });
+                panics_on_width(&|| {
+                    let _ = model.predict_time_energy_config(&[2.0, 3.0], &config(other));
+                });
+            }
+            if width != 1 {
+                panics_on_width(&|| {
+                    let _ = model.predict_time_energy(&[2.0, 3.0], 900.0);
+                });
+                panics_on_width(&|| {
+                    let _ = model.predict_curve(&[2.0, 3.0], &[900.0]);
+                });
             }
         }
-        out
-    }
-
-    const DIST_DEFAULT: [f64; 4] = [1500.0, 1100.0, 300.0, 1.0];
-
-    #[test]
-    fn distributed_model_fits_training_configurations() {
-        let samples =
-            synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0), (10.0, 10.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        assert_eq!(model.config_cols(), 4);
-        assert_eq!(model.default_config(), DIST_DEFAULT.to_vec());
-        for s in samples.iter().step_by(5) {
-            let cfg = [s.core_mhz, s.mem_mhz, s.cap_w, s.num_devices];
-            let (t, e) = model.predict_time_energy_config(&s.features, &cfg);
-            assert!((t - s.time_s).abs() / s.time_s < 0.2, "time");
-            assert!((e - s.energy_j).abs() / s.energy_j < 0.2, "energy");
-        }
-    }
-
-    #[test]
-    fn distributed_curve_normalizes_to_default_config() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        let pred = model.predict_distributed_curve(&[4.0, 5.0], &[DIST_DEFAULT]);
-        assert!((pred.curve[0].speedup - 1.0).abs() < 1e-9);
-        assert!((pred.curve[0].norm_energy - 1.0).abs() < 1e-9);
-        // And the surface rows agree with the row-at-a-time config path.
-        let pts = [[900.0, 1100.0, 300.0, 2.0], [1200.0, 1100.0, 300.0, 4.0]];
-        let pred = model.predict_distributed_curve(&[4.0, 5.0], &pts);
-        let (t_def, e_def) = model.predict_time_energy_config(&[4.0, 5.0], &DIST_DEFAULT);
-        for (p, cfg) in pred.curve.iter().zip(&pts) {
-            let (t, e) = model.predict_time_energy_config(&[4.0, 5.0], cfg);
-            assert_eq!(p.speedup.to_bits(), (t_def / t).to_bits());
-            assert_eq!(p.norm_energy.to_bits(), (e / e_def).to_bits());
-        }
-        assert_eq!(pred.default_time_s.to_bits(), t_def.to_bits());
-        assert_eq!(pred.default_energy_j.to_bits(), e_def.to_bits());
-    }
-
-    #[test]
-    fn distributed_model_json_round_trip_keeps_config_cols() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 4);
-        let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(back.config_cols(), 4);
-        assert_eq!(back.default_config(), model.default_config());
-        assert!(back.has_flat());
-        let cfg = [900.0, 1100.0, 300.0, 4.0];
-        let (t0, e0) = model.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        let (t1, e1) = back.predict_time_energy_config(&[4.0, 5.0], &cfg);
-        assert!(((t1 - t0) / t0).abs() < 1e-12);
-        assert!(((e1 - e0) / e0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "only a distributed model can price a gang surface")]
-    fn lattice_model_rejects_gang_surface() {
-        let samples = synth_lattice_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 0);
-        let _ = model.predict_distributed_curve(&[2.0, 3.0], &[[900.0, 800.0, 150.0, 2.0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "configuration width mismatch")]
-    fn distributed_model_rejects_lattice_width_config() {
-        let samples = synth_distributed_samples(&[(2.0, 3.0), (4.0, 5.0)]);
-        let model = DomainSpecificModel::train_distributed(&samples, DIST_DEFAULT, 0);
-        let _ = model.predict_time_energy_config(&[2.0, 3.0], &[900.0, 1100.0, 300.0]);
     }
 }

@@ -87,8 +87,7 @@ pub use distributed::{
     DistributedSweepOptions,
 };
 pub use ds_model::{
-    CurvePrediction, DistributedCurvePrediction, DistributedPredictedPoint, DistributedSample,
-    DomainSpecificModel, LatticeCurvePrediction, LatticePredictedPoint, LatticeSample,
+    ConfigCurvePrediction, ConfigPredictedPoint, ConfigSample, CurvePrediction, DomainSpecificModel,
 };
 pub use features::{CronosInput, LigenInput};
 pub use gp_model::GeneralPurposeModel;

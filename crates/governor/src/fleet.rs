@@ -58,7 +58,7 @@ use gpu_sim::{Device, DeviceSpec, FaultPlan};
 use serde::Serialize;
 use synergy::{DegradationMetrics, SynergyQueue};
 
-use crate::policy::{choose_frequency, Policy};
+use crate::policy::{resolve_clock, Policy};
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::serving::{
     CacheStats, EngineConfig, PredictedProfile, PredictionEngine, PredictionRequest, ServeError,
@@ -778,10 +778,9 @@ impl FleetRun<'_> {
                 match self.classes[class_i].engine.serve_one(&request) {
                     Ok(profile) => {
                         let planned = rj.job.deadline_s * self.cfg.deadline_safety;
-                        let (requested, predicted) =
-                            resolve_clock(self.cfg.policy, &profile, planned);
-                        rj.requested_mhz = requested;
-                        rj.predicted_time_s = predicted;
+                        let clock = resolve_clock(self.cfg.policy, &profile, planned);
+                        rj.requested_mhz = clock.freq_mhz;
+                        rj.predicted_time_s = Some(clock.time_s);
                         rj.fallback = None;
                         rj.decided_class = class_i;
                     }
@@ -898,32 +897,12 @@ impl FleetRun<'_> {
     }
 }
 
-/// Picks the clock `policy` requests from `profile` against `planned`
-/// deadline, mirroring the single-device decision float-for-float.
-fn resolve_clock(
-    policy: Policy,
-    profile: &PredictedProfile,
-    planned_deadline_s: f64,
-) -> (Option<f64>, Option<f64>) {
-    match choose_frequency(policy, profile, planned_deadline_s) {
-        Some(freq) => {
-            let predicted = profile
-                .pareto
-                .iter()
-                .find(|p| p.freq_mhz == freq)
-                .map(|p| profile.default_time_s / p.speedup);
-            (Some(freq), predicted)
-        }
-        None => (None, Some(profile.default_time_s)),
-    }
-}
-
 /// One class's view of a job at placement time.
 enum ClassCandidate {
     /// The class served a prediction.
     Predicted {
         requested_mhz: Option<f64>,
-        predicted_time_s: Option<f64>,
+        predicted_time_s: f64,
         predicted_energy_j: f64,
         feasible: bool,
     },
@@ -1148,22 +1127,12 @@ fn place_min_energy(run: &mut FleetRun<'_>, registry: &ModelRegistry, burst: &[J
             .map(|&c| {
                 let candidate = match served.get(&(job.id, c)) {
                     Some(Ok(profile)) => {
-                        let (requested, predicted) = resolve_clock(cfg.policy, profile, planned);
-                        let predicted_energy_j = match requested {
-                            Some(freq) => profile
-                                .pareto
-                                .iter()
-                                .find(|p| p.freq_mhz == freq)
-                                .map(|p| profile.default_energy_j * p.norm_energy)
-                                .unwrap_or(profile.default_energy_j),
-                            None => profile.default_energy_j,
-                        };
-                        let feasible = predicted.map(|t| t <= planned).unwrap_or(false);
+                        let clock = resolve_clock(cfg.policy, profile, planned);
                         ClassCandidate::Predicted {
-                            requested_mhz: requested,
-                            predicted_time_s: predicted,
-                            predicted_energy_j,
-                            feasible,
+                            requested_mhz: clock.freq_mhz,
+                            predicted_time_s: clock.time_s,
+                            predicted_energy_j: clock.energy_j,
+                            feasible: clock.time_s <= planned,
                         }
                     }
                     Some(Err(ServeError::ModelUnavailable { app })) => ClassCandidate::Unserved {
@@ -1227,7 +1196,7 @@ fn place_min_energy(run: &mut FleetRun<'_>, registry: &ModelRegistry, burst: &[J
                 job: *job,
                 decided_class: class,
                 requested_mhz: *requested_mhz,
-                predicted_time_s: *predicted_time_s,
+                predicted_time_s: Some(*predicted_time_s),
                 fallback: None,
                 attempts: 0,
                 stolen: false,
@@ -1276,7 +1245,7 @@ fn candidate_time(c: &ClassCandidate) -> f64 {
     match c {
         ClassCandidate::Predicted {
             predicted_time_s, ..
-        } => predicted_time_s.unwrap_or(f64::INFINITY),
+        } => *predicted_time_s,
         ClassCandidate::Unserved { .. } => f64::INFINITY,
     }
 }

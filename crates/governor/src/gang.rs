@@ -8,12 +8,13 @@
 //!
 //! 1. **Which gang?** [`choose_gang`] picks the energy-optimal
 //!    `(device count, core clock)` point from a strong-scaling
-//!    [`GangProfile`] under a per-job deadline — the gang sibling of
-//!    [`crate::policy::choose_config`], with the same deterministic
-//!    `total_cmp` tie-break discipline. Shrinking subdomains buy makespan
-//!    but pay halo-exchange and barrier energy, so under a loose deadline
-//!    the answer is a small gang at a cheap clock, and under a tight one a
-//!    bigger gang at whatever clock still makes the date.
+//!    [`GangProfile`] under a per-job deadline, on the same selection
+//!    rule as [`crate::policy::choose_frequency`] and
+//!    [`crate::policy::choose_config`], with its own deterministic
+//!    tie-break. Shrinking subdomains buy makespan but pay halo-exchange
+//!    and barrier energy, so under a loose deadline the answer is a small
+//!    gang at a cheap clock, and under a tight one a bigger gang at
+//!    whatever clock still makes the date.
 //! 2. **Which devices?** [`reserve_gang`] maps the chosen gang size onto
 //!    concrete fleet devices: the `k` earliest-available devices are
 //!    reserved together, and the gang starts when the *last* of them
@@ -29,8 +30,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::cmp::Ordering;
+
 use energy_model::DistributedCharacterization;
 use serde::{Deserialize, Serialize};
+
+use crate::policy::{select, Candidate, Policy};
 
 /// One strong-scaling operating point: a gang size and a uniform core
 /// clock, normalized against the 1-device default-clock anchor.
@@ -102,56 +107,47 @@ pub struct GangChoice {
     pub energy_j: f64,
 }
 
-/// Tie-break ordering over gang points: fewer devices first (a smaller
-/// reservation blocks less of the fleet), then ascending clock — a total
-/// order so equal-objective points resolve identically on every run.
-fn gang_order(a: &GangPoint, b: &GangPoint) -> std::cmp::Ordering {
-    a.num_devices
-        .cmp(&b.num_devices)
-        .then(a.core_mhz.total_cmp(&b.core_mhz))
+/// Gang points settle ties toward fewer devices (a smaller reservation
+/// blocks less of the fleet), then the lower clock — in the fastest-point
+/// fallback too.
+impl Candidate for GangPoint {
+    fn speedup(&self) -> f64 {
+        self.speedup
+    }
+    fn norm_energy(&self) -> f64 {
+        self.norm_energy
+    }
+    fn tie_break(&self, other: &Self) -> Ordering {
+        self.num_devices
+            .cmp(&other.num_devices)
+            .then(self.core_mhz.total_cmp(&other.core_mhz))
+    }
+    fn fallback_tie_break(&self, other: &Self) -> Ordering {
+        other.tie_break(self)
+    }
 }
 
-fn finite_gang(p: &GangPoint) -> bool {
-    p.num_devices >= 1 && p.speedup.is_finite() && p.norm_energy.is_finite() && p.speedup > 0.0
-}
-
-/// Picks the energy-optimal gang under a deadline: among points that fit
-/// the fleet (`num_devices <= fleet_size`) and whose predicted makespan
-/// meets `deadline_s`, minimize predicted energy; if nothing is feasible,
-/// minimize the damage by running as fast as the profile believes
-/// possible. `None` only when no point fits the fleet or none is finite.
+/// Picks the energy-optimal gang under a deadline: the
+/// [`Policy::MinEnergyUnderDeadline`] rule over the points that fit the
+/// fleet (`1 <= num_devices <= fleet_size`) — minimize predicted energy
+/// among points whose predicted makespan meets `deadline_s`; if nothing
+/// is feasible, run as fast as the profile believes possible. `None` only
+/// when no point fits the fleet or none is finite.
 pub fn choose_gang(
     profile: &GangProfile,
     fleet_size: usize,
     deadline_s: f64,
 ) -> Option<GangChoice> {
-    let candidates: Vec<&GangPoint> = profile
+    let fits = profile
         .points
         .iter()
-        .filter(|p| finite_gang(p) && p.num_devices <= fleet_size)
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let feasible: Vec<&&GangPoint> = candidates
-        .iter()
-        .filter(|p| profile.time_s(p) <= deadline_s)
-        .collect();
-    let pick = if feasible.is_empty() {
-        candidates.iter().max_by(|a, b| {
-            a.speedup
-                .total_cmp(&b.speedup)
-                .then(b.norm_energy.total_cmp(&a.norm_energy))
-                .then(gang_order(b, a))
-        })?
-    } else {
-        feasible.into_iter().min_by(|a, b| {
-            a.norm_energy
-                .total_cmp(&b.norm_energy)
-                .then(b.speedup.total_cmp(&a.speedup))
-                .then(gang_order(a, b))
-        })?
-    };
+        .filter(|p| p.num_devices >= 1 && p.num_devices <= fleet_size);
+    let pick = select(
+        Policy::MinEnergyUnderDeadline,
+        fits,
+        profile.default_time_s,
+        deadline_s,
+    )?;
     Some(GangChoice {
         num_devices: pick.num_devices,
         core_mhz: pick.core_mhz,
@@ -290,6 +286,10 @@ mod tests {
         // Fewer devices wins the tie: a smaller reservation blocks less
         // of the fleet.
         assert_eq!(c1.num_devices, 2);
+        // And in the fastest-point fallback (nothing meets the deadline).
+        let f1 = choose_gang(&p1, 8, 0.001).unwrap();
+        assert_eq!(f1, choose_gang(&p2, 8, 0.001).unwrap());
+        assert_eq!(f1.num_devices, 2);
     }
 
     #[test]

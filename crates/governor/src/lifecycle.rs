@@ -80,7 +80,7 @@ use ml::dataset::{Dataset, Matrix};
 use serde::{Deserialize, Serialize};
 use synergy::{DegradationMetrics, SynergyQueue};
 
-use crate::policy::{choose_frequency, Policy};
+use crate::policy::{resolve_clock, Policy};
 use crate::registry::{ModelRegistry, RegistryError, RegistryEvent};
 use crate::serving::{CacheStats, EngineConfig, PredictionEngine, PredictionRequest, ServeError};
 use crate::sim::{
@@ -1290,23 +1290,13 @@ pub fn run_lifecycle(
                 let (requested, predicted_time, predicted_energy, fallback) = match result {
                     Ok(profile) => {
                         let planned_deadline = job.deadline_s * gov.deadline_safety;
-                        match choose_frequency(gov.policy, &profile, planned_deadline) {
-                            Some(freq) => {
-                                let point = profile.pareto.iter().find(|p| p.freq_mhz == freq);
-                                (
-                                    Some(freq),
-                                    point.map(|p| profile.default_time_s / p.speedup),
-                                    point.map(|p| p.norm_energy * profile.default_energy_j),
-                                    None,
-                                )
-                            }
-                            None => (
-                                None,
-                                Some(profile.default_time_s),
-                                Some(profile.default_energy_j),
-                                None,
-                            ),
-                        }
+                        let clock = resolve_clock(gov.policy, &profile, planned_deadline);
+                        (
+                            clock.freq_mhz,
+                            Some(clock.time_s),
+                            Some(clock.energy_j),
+                            None,
+                        )
                     }
                     Err(ServeError::ModelUnavailable { ref app }) => {
                         (None, None, None, Some(loader.failure_for(app)))

@@ -11,8 +11,10 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::cmp::Ordering;
+
 use crate::serving::{LatticeProfile, PredictedProfile};
-use energy_model::ds_model::{LatticePredictedPoint, PredictedPoint};
+use energy_model::ds_model::{ConfigPredictedPoint, PredictedPoint};
 use serde::{Deserialize, Serialize};
 
 /// A frequency-selection policy.
@@ -52,14 +54,104 @@ impl Policy {
     }
 }
 
-/// Predicted wall time of a Pareto point, derived from the profile's
-/// default-clock anchor (`speedup` is relative to the default clock).
-fn predicted_time_s(profile: &PredictedProfile, point: &PredictedPoint) -> f64 {
-    profile.default_time_s / point.speedup
+/// What the selection rule reads from a predicted operating point, plus
+/// the point's own total order for settling objective ties.
+pub(crate) trait Candidate {
+    /// Predicted `t_default / t`.
+    fn speedup(&self) -> f64;
+    /// Predicted `e / e_default`.
+    fn norm_energy(&self) -> f64;
+    /// Settles ties in the energy and EDP picks: the lesser point wins.
+    fn tie_break(&self, other: &Self) -> Ordering;
+    /// Settles ties in the fastest-point fallback: the greater point wins.
+    fn fallback_tie_break(&self, other: &Self) -> Ordering {
+        self.tie_break(other)
+    }
 }
 
-fn finite(point: &PredictedPoint) -> bool {
-    point.speedup.is_finite() && point.norm_energy.is_finite() && point.speedup > 0.0
+impl Candidate for PredictedPoint {
+    fn speedup(&self) -> f64 {
+        self.speedup
+    }
+    fn norm_energy(&self) -> f64 {
+        self.norm_energy
+    }
+    fn tie_break(&self, other: &Self) -> Ordering {
+        self.freq_mhz.total_cmp(&other.freq_mhz)
+    }
+}
+
+impl Candidate for ConfigPredictedPoint {
+    fn speedup(&self) -> f64 {
+        self.speedup
+    }
+    fn norm_energy(&self) -> f64 {
+        self.norm_energy
+    }
+    fn tie_break(&self, other: &Self) -> Ordering {
+        config_order(&self.config, &other.config)
+    }
+}
+
+/// Lexicographic `total_cmp` order over configurations — ascending core,
+/// then memory, then cap, … — so equal-objective points resolve the same
+/// way on every run.
+pub(crate) fn config_order(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|o| o.is_ne())
+        .unwrap_or(a.len().cmp(&b.len()))
+}
+
+/// The one selection rule every chooser shares. Non-finite points are
+/// never candidates. [`Policy::MinEnergyUnderDeadline`] minimizes
+/// predicted energy among points whose predicted time
+/// (`default_time_s / speedup`) meets `deadline_s`, and if none does,
+/// takes the fastest point (least deadline damage);
+/// [`Policy::MinEdp`] minimizes the energy-delay product and ignores the
+/// deadline; [`Policy::DefaultClock`] picks nothing. Ties fall through to
+/// the faster (or, in the fallback, cheaper) point, then to the point's
+/// own total order.
+pub(crate) fn select<'a, T: Candidate>(
+    policy: Policy,
+    points: impl Iterator<Item = &'a T> + Clone,
+    default_time_s: f64,
+    deadline_s: f64,
+) -> Option<&'a T> {
+    let candidates = points
+        .filter(|p| p.speedup().is_finite() && p.norm_energy().is_finite() && p.speedup() > 0.0);
+    match policy {
+        Policy::DefaultClock => None,
+        Policy::MinEnergyUnderDeadline => candidates
+            .clone()
+            .filter(|p| default_time_s / p.speedup() <= deadline_s)
+            .min_by(|a, b| {
+                a.norm_energy()
+                    .total_cmp(&b.norm_energy())
+                    .then(b.speedup().total_cmp(&a.speedup()))
+                    .then(a.tie_break(b))
+            })
+            .or_else(|| {
+                // Nothing meets the deadline: minimize the damage by
+                // running as fast as the model believes possible.
+                candidates.max_by(|a, b| {
+                    a.speedup()
+                        .total_cmp(&b.speedup())
+                        .then(b.norm_energy().total_cmp(&a.norm_energy()))
+                        .then(a.fallback_tie_break(b))
+                })
+            }),
+        // EDP in normalized units: (1/speedup) · norm_energy — the
+        // default anchors cancel, so this orders points exactly as
+        // absolute energy·delay would.
+        Policy::MinEdp => candidates.min_by(|a, b| {
+            (a.norm_energy() / a.speedup())
+                .total_cmp(&(b.norm_energy() / b.speedup()))
+                .then(b.speedup().total_cmp(&a.speedup()))
+                .then(a.tie_break(b))
+        }),
+    }
 }
 
 /// Picks the clock a policy requests for one job: `None` means "leave the
@@ -71,122 +163,68 @@ pub fn choose_frequency(
     profile: &PredictedProfile,
     deadline_s: f64,
 ) -> Option<f64> {
-    let candidates: Vec<&PredictedPoint> = profile.pareto.iter().filter(|p| finite(p)).collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    match policy {
-        Policy::DefaultClock => None,
-        Policy::MinEnergyUnderDeadline => {
-            let feasible: Vec<&&PredictedPoint> = candidates
-                .iter()
-                .filter(|p| predicted_time_s(profile, p) <= deadline_s)
-                .collect();
-            let pick = if feasible.is_empty() {
-                // Nothing meets the deadline: minimize the damage by
-                // running as fast as the model believes possible.
-                candidates.iter().max_by(|a, b| {
-                    a.speedup
-                        .total_cmp(&b.speedup)
-                        .then(b.norm_energy.total_cmp(&a.norm_energy))
-                        .then(a.freq_mhz.total_cmp(&b.freq_mhz))
-                })?
-            } else {
-                feasible.into_iter().min_by(|a, b| {
-                    a.norm_energy
-                        .total_cmp(&b.norm_energy)
-                        .then(b.speedup.total_cmp(&a.speedup))
-                        .then(a.freq_mhz.total_cmp(&b.freq_mhz))
-                })?
-            };
-            Some(pick.freq_mhz)
-        }
-        Policy::MinEdp => {
-            // EDP in normalized units: (1/speedup) · norm_energy — the
-            // default-clock anchors cancel, so this orders points exactly
-            // as absolute energy·delay would.
-            let pick = candidates.iter().min_by(|a, b| {
-                let edp_a = a.norm_energy / a.speedup;
-                let edp_b = b.norm_energy / b.speedup;
-                edp_a
-                    .total_cmp(&edp_b)
-                    .then(b.speedup.total_cmp(&a.speedup))
-                    .then(a.freq_mhz.total_cmp(&b.freq_mhz))
-            })?;
-            Some(pick.freq_mhz)
-        }
-    }
+    select(
+        policy,
+        profile.pareto.iter(),
+        profile.default_time_s,
+        deadline_s,
+    )
+    .map(|p| p.freq_mhz)
 }
 
-/// Tie-break ordering over lattice points: ascending core, then memory,
-/// then cap — a total order so equal-objective points resolve the same
-/// way on every run.
-fn config_order(a: &LatticePredictedPoint, b: &LatticePredictedPoint) -> std::cmp::Ordering {
-    a.core_mhz
-        .total_cmp(&b.core_mhz)
-        .then(a.mem_mhz.total_cmp(&b.mem_mhz))
-        .then(a.cap_w.total_cmp(&b.cap_w))
+/// A job's clock decision together with the prediction at the chosen
+/// point — the default-clock anchors when no clock is requested.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ClockDecision {
+    /// The clock to request; `None` leaves the device at its default.
+    pub freq_mhz: Option<f64>,
+    /// Predicted wall time at the decision (s).
+    pub time_s: f64,
+    /// Predicted energy at the decision (J).
+    pub energy_j: f64,
 }
 
-fn finite_config(point: &LatticePredictedPoint) -> bool {
-    point.speedup.is_finite() && point.norm_energy.is_finite() && point.speedup > 0.0
-}
-
-/// Picks the full operating configuration `[core_mhz, mem_mhz, cap_w]` a
-/// policy requests over a predicted Pareto *surface* — the lattice
-/// sibling of [`choose_frequency`]. `None` means "leave the device at its
-/// default configuration" (always for [`Policy::DefaultClock`], and the
-/// degenerate answer when the surface is empty or non-finite). The same
-/// deterministic `total_cmp` tie-break discipline applies, extended to
-/// the `(core, mem, cap)` triple.
-pub fn choose_config(
+/// [`choose_frequency`] plus the predicted time and energy of the chosen
+/// Pareto point: the one decision step the single-device governor, the
+/// lifecycle loop and the fleet all take.
+pub(crate) fn resolve_clock(
     policy: Policy,
-    profile: &LatticeProfile,
+    profile: &PredictedProfile,
     deadline_s: f64,
-) -> Option<[f64; 3]> {
-    let candidates: Vec<&LatticePredictedPoint> = profile
-        .surface
-        .iter()
-        .filter(|p| finite_config(p))
-        .collect();
-    if candidates.is_empty() {
-        return None;
+) -> ClockDecision {
+    match select(
+        policy,
+        profile.pareto.iter(),
+        profile.default_time_s,
+        deadline_s,
+    ) {
+        Some(p) => ClockDecision {
+            freq_mhz: Some(p.freq_mhz),
+            time_s: profile.default_time_s / p.speedup,
+            energy_j: p.norm_energy * profile.default_energy_j,
+        },
+        None => ClockDecision {
+            freq_mhz: None,
+            time_s: profile.default_time_s,
+            energy_j: profile.default_energy_j,
+        },
     }
-    let pick = match policy {
-        Policy::DefaultClock => return None,
-        Policy::MinEnergyUnderDeadline => {
-            let feasible: Vec<&&LatticePredictedPoint> = candidates
-                .iter()
-                .filter(|p| profile.default_time_s / p.speedup <= deadline_s)
-                .collect();
-            if feasible.is_empty() {
-                // Nothing meets the deadline: minimize the damage by
-                // running as fast as the model believes possible.
-                candidates.iter().max_by(|a, b| {
-                    a.speedup
-                        .total_cmp(&b.speedup)
-                        .then(b.norm_energy.total_cmp(&a.norm_energy))
-                        .then(config_order(a, b))
-                })?
-            } else {
-                feasible.into_iter().min_by(|a, b| {
-                    a.norm_energy
-                        .total_cmp(&b.norm_energy)
-                        .then(b.speedup.total_cmp(&a.speedup))
-                        .then(config_order(a, b))
-                })?
-            }
-        }
-        Policy::MinEdp => candidates.iter().min_by(|a, b| {
-            let edp_a = a.norm_energy / a.speedup;
-            let edp_b = b.norm_energy / b.speedup;
-            edp_a
-                .total_cmp(&edp_b)
-                .then(b.speedup.total_cmp(&a.speedup))
-                .then(config_order(a, b))
-        })?,
-    };
-    Some([pick.core_mhz, pick.mem_mhz, pick.cap_w])
+}
+
+/// Picks the full operating configuration a policy requests over a
+/// predicted Pareto *surface* — the configuration-keyed sibling of
+/// [`choose_frequency`], on the same selection rule with ties settled in
+/// ascending configuration order. `None` means "leave the device at its
+/// default configuration" (always for [`Policy::DefaultClock`], and the
+/// degenerate answer when the surface is empty or non-finite).
+pub fn choose_config(policy: Policy, profile: &LatticeProfile, deadline_s: f64) -> Option<&[f64]> {
+    select(
+        policy,
+        profile.surface.iter(),
+        profile.default_time_s,
+        deadline_s,
+    )
+    .map(|p| p.config.as_slice())
 }
 
 #[cfg(test)]
@@ -240,6 +278,12 @@ mod tests {
             choose_frequency(Policy::MinEnergyUnderDeadline, &p, 1.0),
             Some(1200.0)
         );
+        // Equally fast and cheap points: the higher clock wins the tie.
+        let tied = profile(vec![point(1300.0, 0.95, 0.8), point(1200.0, 0.95, 0.8)]);
+        assert_eq!(
+            choose_frequency(Policy::MinEnergyUnderDeadline, &tied, 1.0),
+            Some(1300.0)
+        );
     }
 
     #[test]
@@ -276,21 +320,19 @@ mod tests {
         cap: f64,
         speedup: f64,
         norm_energy: f64,
-    ) -> LatticePredictedPoint {
-        LatticePredictedPoint {
-            core_mhz: core,
-            mem_mhz: mem,
-            cap_w: cap,
+    ) -> ConfigPredictedPoint {
+        ConfigPredictedPoint {
+            config: vec![core, mem, cap],
             speedup,
             norm_energy,
         }
     }
 
-    fn lattice_profile(surface: Vec<LatticePredictedPoint>) -> LatticeProfile {
+    fn lattice_profile(surface: Vec<ConfigPredictedPoint>) -> LatticeProfile {
         LatticeProfile {
             default_time_s: 10.0,
             default_energy_j: 100.0,
-            default_config: [1500.0, 1100.0, 300.0],
+            default_config: vec![1500.0, 1100.0, 300.0],
             surface,
         }
     }
@@ -313,7 +355,7 @@ mod tests {
         ]);
         assert_eq!(
             choose_config(Policy::MinEnergyUnderDeadline, &p, 12.0),
-            Some([900.0, 800.0, 300.0])
+            Some(&[900.0, 800.0, 300.0][..])
         );
     }
 
@@ -325,7 +367,7 @@ mod tests {
         ]);
         assert_eq!(
             choose_config(Policy::MinEnergyUnderDeadline, &p, 1.0),
-            Some([1200.0, 1100.0, 300.0])
+            Some(&[1200.0, 1100.0, 300.0][..])
         );
     }
 
@@ -337,7 +379,7 @@ mod tests {
         ]);
         assert_eq!(
             choose_config(Policy::MinEdp, &p, 0.001),
-            Some([700.0, 800.0, 150.0])
+            Some(&[700.0, 800.0, 150.0][..])
         );
     }
 
@@ -347,7 +389,7 @@ mod tests {
         // order must decide, on every run.
         let a = cfg_point(900.0, 800.0, 150.0, 0.9, 0.7);
         let b = cfg_point(900.0, 1100.0, 150.0, 0.9, 0.7);
-        let p1 = lattice_profile(vec![a, b]);
+        let p1 = lattice_profile(vec![a.clone(), b.clone()]);
         let p2 = lattice_profile(vec![b, a]);
         assert_eq!(
             choose_config(Policy::MinEnergyUnderDeadline, &p1, 100.0),
@@ -355,8 +397,15 @@ mod tests {
         );
         assert_eq!(
             choose_config(Policy::MinEnergyUnderDeadline, &p1, 100.0),
-            Some([900.0, 800.0, 150.0])
+            Some(&[900.0, 800.0, 150.0][..])
         );
+        // In the fastest-point fallback the greater configuration wins.
+        for p in [&p1, &p2] {
+            assert_eq!(
+                choose_config(Policy::MinEnergyUnderDeadline, p, 0.001),
+                Some(&[900.0, 1100.0, 150.0][..])
+            );
+        }
     }
 
     #[test]

@@ -49,10 +49,12 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use energy_model::ds_model::{CurvePrediction, LatticePredictedPoint, PredictedPoint};
+use energy_model::ds_model::{ConfigPredictedPoint, CurvePrediction, PredictedPoint};
 use energy_model::pareto::pareto_front_indices;
 use energy_model::DomainSpecificModel;
 use serde::Serialize;
+
+use crate::policy::config_order;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -141,28 +143,69 @@ impl CacheKey {
     }
 }
 
-struct CacheEntry {
+struct CacheEntry<P> {
     key: CacheKey,
-    profile: Arc<PredictedProfile>,
+    profile: Arc<P>,
 }
 
-/// One independent cache shard: its own map, lock, and counters. Counters
-/// live with the shard (not the engine) so concurrent submitters never
-/// contend on a shared cache line; totals are folded on read.
-#[derive(Default)]
-struct CacheShard {
-    map: RwLock<HashMap<u64, Vec<CacheEntry>, BuildHasherDefault<DigestHasher>>>,
+/// One independent cache shard of `P` profiles: its own map, lock, and
+/// counters. Counters live with the shard (not the engine) so concurrent
+/// submitters never contend on a shared cache line; totals are folded on
+/// read.
+struct CacheShard<P> {
+    map: RwLock<HashMap<u64, Vec<CacheEntry<P>>, BuildHasherDefault<DigestHasher>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     collisions: AtomicU64,
 }
 
-impl CacheShard {
+impl<P> Default for CacheShard<P> {
+    fn default() -> Self {
+        CacheShard {
+            map: RwLock::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            collisions: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<P> CacheShard<P> {
     fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The cached profile under exactly `key`, if any (counters
+    /// untouched: callers decide what counts as a hit).
+    fn get(&self, digest: u64, key: &CacheKey) -> Option<Arc<P>> {
+        let map = self.map.read().ok()?;
+        let chain = map.get(&digest)?;
+        chain
+            .iter()
+            .find(|e| e.key == *key)
+            .map(|e| Arc::clone(&e.profile))
+    }
+
+    /// Inserts a freshly computed profile, counting a collision when the
+    /// digest already chains a different key. A racing writer may have
+    /// filled the slot between the caller's read and this write lock;
+    /// profiles are deterministic, so the duplicate is simply not chained.
+    fn insert(&self, digest: u64, key: &CacheKey, profile: &Arc<P>) {
+        if let Ok(mut map) = self.map.write() {
+            let chain = map.entry(digest).or_default();
+            if !chain.iter().any(|e| e.key == *key) {
+                if !chain.is_empty() {
+                    self.collisions.fetch_add(1, Ordering::Relaxed);
+                }
+                chain.push(CacheEntry {
+                    key: key.clone(),
+                    profile: Arc::clone(profile),
+                });
+            }
         }
     }
 }
@@ -344,7 +387,7 @@ pub struct PredictionEngine {
     config: EngineConfig,
     models: HashMap<String, InstalledModel>,
     queue: VecDeque<PredictionRequest>,
-    shards: Vec<CacheShard>,
+    shards: Vec<CacheShard<PredictedProfile>>,
     admitted: u64,
     rejected: u64,
 }
@@ -373,16 +416,8 @@ impl PredictionEngine {
         let app_id = fnv_str(FNV_OFFSET, app);
         if self.models.contains_key(app) {
             // A replaced model must not serve its predecessor's
-            // predictions: drop every chain entry keyed to this app, in
-            // every shard (an app's keys spread across all of them).
-            for shard in &self.shards {
-                if let Ok(mut map) = shard.map.write() {
-                    for chain in map.values_mut() {
-                        chain.retain(|e| e.key.app_id != app_id);
-                    }
-                    map.retain(|_, chain| !chain.is_empty());
-                }
-            }
+            // predictions.
+            self.purge(app_id);
         }
         self.models
             .insert(app.to_string(), InstalledModel { model, app_id });
@@ -397,7 +432,13 @@ impl PredictionEngine {
         if self.models.remove(app).is_none() {
             return false;
         }
-        let app_id = fnv_str(FNV_OFFSET, app);
+        self.purge(fnv_str(FNV_OFFSET, app));
+        true
+    }
+
+    /// Drops every chain entry keyed to `app_id`, in every shard (an
+    /// app's keys spread across all of them).
+    fn purge(&self, app_id: u64) {
         for shard in &self.shards {
             if let Ok(mut map) = shard.map.write() {
                 for chain in map.values_mut() {
@@ -406,7 +447,6 @@ impl PredictionEngine {
                 map.retain(|_, chain| !chain.is_empty());
             }
         }
-        true
     }
 
     /// Whether a model is installed for `app`.
@@ -552,19 +592,7 @@ impl PredictionEngine {
             };
             let digest = key.digest();
             let shard = &self.shards[shard_index(digest)];
-
-            let mut cached = None;
-            if let Ok(map) = shard.map.read() {
-                if let Some(chain) = map.get(&digest) {
-                    for entry in chain {
-                        if entry.key == key {
-                            cached = Some(Arc::clone(&entry.profile));
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(profile) = cached {
+            if let Some(profile) = shard.get(digest, &key) {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 slots[i] = Some(Ok(profile));
                 continue;
@@ -617,7 +645,7 @@ impl PredictionEngine {
             let default_freq_mhz = installed.model.default_freq_mhz();
             for (miss, prediction) in misses.iter().zip(predictions) {
                 let profile = Arc::new(assemble_profile(default_freq_mhz, prediction));
-                self.insert(miss, &profile);
+                self.shards[shard_index(miss.digest)].insert(miss.digest, &miss.key, &profile);
                 for &dependent in &miss.dependents {
                     slots[dependent] = Some(Ok(Arc::clone(&profile)));
                 }
@@ -638,29 +666,6 @@ impl PredictionEngine {
                 })
             })
             .collect()
-    }
-
-    /// Inserts a freshly computed profile into its shard, preserving the
-    /// collision accounting and racing-writer duplicate check of the
-    /// pre-sharding cache.
-    fn insert(&self, miss: &MissSlot, profile: &Arc<PredictedProfile>) {
-        let shard = &self.shards[shard_index(miss.digest)];
-        if let Ok(mut map) = shard.map.write() {
-            let chain = map.entry(miss.digest).or_default();
-            // A racing writer may have filled the slot between our read
-            // and write lock; serve-once semantics don't matter for
-            // correctness (profiles are deterministic), but don't chain a
-            // duplicate.
-            if !chain.iter().any(|e| e.key == miss.key) {
-                if !chain.is_empty() {
-                    shard.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                chain.push(CacheEntry {
-                    key: miss.key.clone(),
-                    profile: Arc::clone(profile),
-                });
-            }
-        }
     }
 }
 
@@ -686,19 +691,19 @@ fn assemble_profile(default_freq_mhz: f64, prediction: CurvePrediction) -> Predi
 
 /// What a lattice server predicts for one request: the absolute
 /// default-configuration operating point and the predicted Pareto
-/// **surface** over the configuration lattice — the three-axis sibling of
-/// [`PredictedProfile`].
+/// **surface** over the configuration lattice — the configuration-keyed
+/// sibling of [`PredictedProfile`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatticeProfile {
     /// Predicted wall time at the default configuration (seconds).
     pub default_time_s: f64,
     /// Predicted energy at the default configuration (joules).
     pub default_energy_j: f64,
-    /// The model's normalization anchor: `[core_mhz, mem_mhz, cap_w]`.
-    pub default_config: [f64; 3],
+    /// The model's normalization anchor, e.g. `[core_mhz, mem_mhz, cap_w]`.
+    pub default_config: Vec<f64>,
     /// The Pareto-optimal subset of the predicted lattice, in ascending
-    /// `(core, mem, cap)` order.
-    pub surface: Vec<LatticePredictedPoint>,
+    /// configuration order.
+    pub surface: Vec<ConfigPredictedPoint>,
 }
 
 /// A memoizing server over one app's configuration-lattice model: the
@@ -714,30 +719,23 @@ pub struct LatticeServer {
     app: String,
     model: DomainSpecificModel,
     digest_seed: u64,
-    points: Vec<[f64; 3]>,
-    map: RwLock<HashMap<u64, Vec<CacheEntryLattice>, BuildHasherDefault<DigestHasher>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    collisions: AtomicU64,
-}
-
-struct CacheEntryLattice {
-    key: CacheKey,
-    profile: Arc<LatticeProfile>,
+    points: Vec<Vec<f64>>,
+    cache: CacheShard<LatticeProfile>,
 }
 
 impl LatticeServer {
-    /// Builds a server over `model` (which must be lattice-trained,
-    /// `config_cols == 3`) and the enumerated lattice `points`.
+    /// Builds a server over `model` and the enumerated lattice `points`,
+    /// every one of which must be as wide as the model's
+    /// [`DomainSpecificModel::config_cols`].
     pub fn new(
         app: &str,
         model: DomainSpecificModel,
-        points: Vec<[f64; 3]>,
+        points: Vec<Vec<f64>>,
     ) -> Result<Self, ServeError> {
-        if model.config_cols() != 3 {
+        if let Some(p) = points.iter().find(|p| p.len() != model.config_cols()) {
             return Err(ServeError::ConfigWidth {
                 app: app.to_string(),
-                expected: 3,
+                expected: p.len(),
                 found: model.config_cols(),
             });
         }
@@ -755,25 +753,18 @@ impl LatticeServer {
             model,
             digest_seed: seed,
             points,
-            map: RwLock::new(HashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
+            cache: CacheShard::default(),
         })
     }
 
     /// The enumerated lattice this server prices.
-    pub fn points(&self) -> &[[f64; 3]] {
+    pub fn points(&self) -> &[Vec<f64>] {
         &self.points
     }
 
     /// Cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-        }
+        self.cache.stats()
     }
 
     /// Serves one feature vector: memo probe, then one batched lattice
@@ -796,51 +787,30 @@ impl LatticeServer {
                 .collect(),
         };
         let digest = key.digest();
-        if let Ok(map) = self.map.read() {
-            if let Some(chain) = map.get(&digest) {
-                for entry in chain {
-                    if entry.key == key {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Arc::clone(&entry.profile));
-                    }
-                }
-            }
+        if let Some(profile) = self.cache.get(digest, &key) {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(profile);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prediction = self.model.predict_lattice_curve(features, &self.points);
+        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        let prediction = self.model.predict_config_curve(features, &self.points);
         let plane: Vec<(f64, f64)> = prediction
             .curve
             .iter()
             .map(|p| (p.speedup, p.norm_energy))
             .collect();
         let front = pareto_front_indices(&plane);
-        let mut surface: Vec<LatticePredictedPoint> =
-            front.into_iter().map(|i| prediction.curve[i]).collect();
-        surface.sort_by(|a, b| {
-            a.core_mhz
-                .total_cmp(&b.core_mhz)
-                .then(a.mem_mhz.total_cmp(&b.mem_mhz))
-                .then(a.cap_w.total_cmp(&b.cap_w))
-        });
-        let dc = self.model.default_config();
+        let mut surface: Vec<ConfigPredictedPoint> = front
+            .into_iter()
+            .map(|i| prediction.curve[i].clone())
+            .collect();
+        surface.sort_by(|a, b| config_order(&a.config, &b.config));
         let profile = Arc::new(LatticeProfile {
             default_time_s: prediction.default_time_s,
             default_energy_j: prediction.default_energy_j,
-            default_config: [dc[0], dc[1], dc[2]],
+            default_config: self.model.default_config(),
             surface,
         });
-        if let Ok(mut map) = self.map.write() {
-            let chain = map.entry(digest).or_default();
-            if !chain.iter().any(|e| e.key == key) {
-                if !chain.is_empty() {
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                }
-                chain.push(CacheEntryLattice {
-                    key,
-                    profile: Arc::clone(&profile),
-                });
-            }
-        }
+        self.cache.insert(digest, &key, &profile);
         Ok(profile)
     }
 }
@@ -1108,7 +1078,7 @@ mod tests {
     // ---- Lattice serving ----
 
     fn tiny_lattice_model() -> DomainSpecificModel {
-        use energy_model::ds_model::LatticeSample;
+        use energy_model::ds_model::ConfigSample;
         let mut samples = Vec::new();
         for size in [1.0f64, 2.0, 4.0, 8.0] {
             let features = Arc::new(vec![size]);
@@ -1120,11 +1090,9 @@ mod tests {
                         let raw_power = 60.0 + 0.08 * freq + 0.03 * mem;
                         let stretch = (raw_power / cap).max(1.0);
                         let time = size * 1500.0 / eff * stretch;
-                        samples.push(LatticeSample {
+                        samples.push(ConfigSample {
                             features: Arc::clone(&features),
-                            core_mhz: freq,
-                            mem_mhz: mem,
-                            cap_w: cap,
+                            config: vec![freq, mem, cap],
                             time_s: time,
                             energy_j: time * raw_power.min(cap),
                         });
@@ -1132,15 +1100,15 @@ mod tests {
                 }
             }
         }
-        DomainSpecificModel::train_lattice(&samples, [1500.0, 1100.0, 300.0], 7)
+        DomainSpecificModel::train_config(&samples, &[1500.0, 1100.0, 300.0], 7)
     }
 
-    fn toy_lattice() -> Vec<[f64; 3]> {
+    fn toy_lattice() -> Vec<Vec<f64>> {
         let mut points = Vec::new();
         for f in [600.0, 900.0, 1200.0, 1500.0] {
             for m in [800.0, 1100.0] {
                 for c in [150.0, 300.0] {
-                    points.push([f, m, c]);
+                    points.push(vec![f, m, c]);
                 }
             }
         }
@@ -1156,7 +1124,7 @@ mod tests {
         let stats = server.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!(!a.surface.is_empty());
-        assert_eq!(a.default_config, [1500.0, 1100.0, 300.0]);
+        assert_eq!(a.default_config, vec![1500.0, 1100.0, 300.0]);
         // No surface point may dominate another.
         for p in &a.surface {
             for q in &a.surface {
@@ -1204,7 +1172,7 @@ mod tests {
         let narrow = LatticeServer::new(
             "toy",
             tiny_lattice_model(),
-            vec![[900.0, 1100.0, 300.0], [1500.0, 1100.0, 300.0]],
+            vec![vec![900.0, 1100.0, 300.0], vec![1500.0, 1100.0, 300.0]],
         )
         .unwrap();
         assert_ne!(full.digest_seed, narrow.digest_seed);
@@ -1212,7 +1180,7 @@ mod tests {
         // cannot contain the full lattice's mem-downclocked points).
         let wide = full.serve(&[4.0]).unwrap();
         let thin = narrow.serve(&[4.0]).unwrap();
-        assert!(thin.surface.iter().all(|p| p.mem_mhz == 1100.0));
+        assert!(thin.surface.iter().all(|p| p.config[1] == 1100.0));
         assert!(wide.surface.len() >= thin.surface.len());
     }
 

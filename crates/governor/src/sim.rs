@@ -53,7 +53,7 @@ use gpu_sim::{Device, DeviceSpec, FaultPlan, Schedule};
 use serde::Serialize;
 use synergy::{FrequencyPolicy, KernelTrace, SynergyQueue};
 
-use crate::policy::{choose_frequency, Policy};
+use crate::policy::{resolve_clock, Policy};
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::serving::{CacheStats, EngineConfig, PredictionEngine, PredictionRequest, ServeError};
 
@@ -557,17 +557,8 @@ pub fn run_governor(cfg: &GovernorConfig, registry: &ModelRegistry) -> GovernorR
                 let (requested, predicted, fallback) = match result {
                     Ok(profile) => {
                         let planned_deadline = job.deadline_s * cfg.deadline_safety;
-                        match choose_frequency(cfg.policy, &profile, planned_deadline) {
-                            Some(freq) => {
-                                let predicted = profile
-                                    .pareto
-                                    .iter()
-                                    .find(|p| p.freq_mhz == freq)
-                                    .map(|p| profile.default_time_s / p.speedup);
-                                (Some(freq), predicted, None)
-                            }
-                            None => (None, Some(profile.default_time_s), None),
-                        }
+                        let clock = resolve_clock(cfg.policy, &profile, planned_deadline);
+                        (clock.freq_mhz, Some(clock.time_s), None)
                     }
                     Err(ServeError::ModelUnavailable { ref app }) => {
                         (None, None, Some(loader.failure_for(app)))

@@ -148,15 +148,25 @@ fn render_pretty(v: &Value, out: &mut String, indent: usize) {
 
 // ---- parser ----
 
+/// Deepest array/object nesting the parser accepts. The parser recurses
+/// once per level, so without a bound a hostile `[[[…]]]` overflows the
+/// stack and aborts the process; past this depth it returns an [`Error`]
+/// instead. Model artifacts nest about 50 levels (forest trees serialize
+/// recursively); the bound leaves ten times that as headroom and still
+/// fits a 2 MiB thread stack.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value_complete(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -240,14 +250,29 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::new(format!(
                 "unexpected character `{}` at offset {}",
                 b as char, self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -426,7 +451,7 @@ mod tests {
 
     #[test]
     fn floats_round_trip_bit_exactly() {
-        for &x in &[1.0 / 3.0, 6.02214076e23, 1e-300, -0.0, 123456789.25] {
+        for &x in &[1.0f64 / 3.0, 6.02214076e23, 1e-300, -0.0, 123456789.25] {
             let s = to_string(&x).unwrap();
             let back: f64 = from_str(&s).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{s}");
@@ -440,6 +465,20 @@ mod tests {
         assert!(from_str::<Value>("\"open").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        assert!(from_str::<Value>(&nested_arrays(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        assert!(from_str::<Value>(&nested_arrays(100_000)).is_err());
+        let objects = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(from_str::<Value>(&objects).is_err());
     }
 
     #[test]

@@ -383,3 +383,53 @@ fn pinned_stream_saves_ten_percent_energy_at_no_worse_miss_rate() {
     // The memo cache earns its keep on the repetitive pinned stream.
     assert!(governed.cache.hits > 0);
 }
+
+/// Every `v*.json` version file below `dir`, recursively.
+fn artifact_files(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if path.is_dir() {
+            artifact_files(&path, out);
+        } else if name.starts_with('v') && name.ends_with(".json") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn deep_json_nesting_is_a_typed_error_and_every_artifact_still_loads() {
+    // 100 000 levels of nesting used to overflow the parser's stack and
+    // abort the whole process; now every reader returns an error.
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    assert!(serde_json::from_str::<serde::Value>(&deep).is_err());
+    assert!(energy_model::DomainSpecificModel::from_json(&deep).is_err());
+    let dir = test_dir("deep-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("v0001.json");
+    std::fs::write(&path, &deep).unwrap();
+    assert!(matches!(
+        ModelArtifact::load(&path),
+        Err(ArtifactError::Malformed(_))
+    ));
+
+    // The depth limit leaves real artifacts alone: the freshly published
+    // pinned models and any registry the `figures` experiments left under
+    // `results/*/registry/` all load and open.
+    let (registry, _) = shared_registry();
+    let mut files = Vec::new();
+    artifact_files(registry.root(), &mut files);
+    assert!(!files.is_empty(), "the shared registry holds artifacts");
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
+    for experiment in std::fs::read_dir(results).unwrap().flatten() {
+        artifact_files(&experiment.path().join("registry"), &mut files);
+    }
+    for file in &files {
+        if let Err(e) = ModelArtifact::load(file).and_then(|a| a.open()) {
+            panic!("{} no longer loads: {e}", file.display());
+        }
+    }
+}
