@@ -11,6 +11,15 @@
 //! Because static features are input-independent, the model emits one
 //! curve per application regardless of workload — the inaccuracy the
 //! domain-specific models remove.
+//!
+//! Training is deterministic in its inputs, and the Figure-13 protocol
+//! asks for the same baseline once per application. So
+//! [`GeneralPurposeModel::train_with`] keeps the last model it trained,
+//! keyed by (device spec, training clocks, seed, forest parameters). A
+//! call with the same key shares that model's two forests instead of
+//! fitting them again; any other key trains and replaces it.
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gpu_sim::{Device, DeviceSpec, KernelProfile};
 use ml::dataset::{Dataset, Matrix};
@@ -24,10 +33,50 @@ use crate::microbench::microbenchmarks;
 /// A trained general-purpose model for one device.
 #[derive(Debug, Clone)]
 pub struct GeneralPurposeModel {
-    speedup_model: RandomForest,
-    energy_model: RandomForest,
+    speedup_model: Arc<RandomForest>,
+    energy_model: Arc<RandomForest>,
     default_freq_mhz: f64,
 }
+
+/// What a trained model depends on: device, clocks (as bits), seed and
+/// forest parameters.
+type TrainKey = (DeviceSpec, Vec<u64>, u64, RandomForestParams);
+
+/// The speedup and normalized-energy forests of one trained model.
+type ForestPair = (Arc<RandomForest>, Arc<RandomForest>);
+
+/// A single-entry memo of the last trained forest pair.
+struct TrainMemo(Mutex<Option<(TrainKey, ForestPair)>>);
+
+impl TrainMemo {
+    const fn new() -> Self {
+        TrainMemo(Mutex::new(None))
+    }
+
+    /// The forests stored under `key`, or those `train` returns, which
+    /// then replace the entry. The lock is not held while training, so
+    /// two first calls with one key may both train; both get equal
+    /// forests. A poisoned lock is recovered: the entry is only ever
+    /// replaced whole.
+    fn get_or_train(&self, key: TrainKey, train: impl FnOnce() -> ForestPair) -> ForestPair {
+        let hit = self
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .filter(|(k, _)| *k == key)
+            .map(|(_, forests)| forests.clone());
+        if let Some(forests) = hit {
+            return forests;
+        }
+        let forests = train();
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some((key, forests.clone()));
+        forests
+    }
+}
+
+/// The process-wide memo behind [`GeneralPurposeModel::train_with`].
+static TRAINED: TrainMemo = TrainMemo::new();
 
 /// A predicted operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +144,9 @@ impl GeneralPurposeModel {
     }
 
     /// Trains with explicit forest hyper-parameters (used by tests and the
-    /// ablation benches to trade accuracy for speed).
+    /// ablation benches to trade accuracy for speed). Repeating the last
+    /// call's arguments returns a model sharing its forests (see the
+    /// module docs).
     ///
     /// # Panics
     /// Panics on an empty frequency list.
@@ -105,13 +156,31 @@ impl GeneralPurposeModel {
         seed: u64,
         params: RandomForestParams,
     ) -> Self {
-        assert!(!freqs.is_empty(), "need at least one training frequency");
-        let (x, y_speedup, y_energy) = microbench_design(spec, freqs);
+        GeneralPurposeModel::train_in(&TRAINED, spec, freqs, seed, params)
+    }
 
-        let mut speedup_model = RandomForest::new(params, seed);
-        speedup_model.fit(&x, &y_speedup);
-        let mut energy_model = RandomForest::new(params, seed ^ 0xE);
-        energy_model.fit(&x, &y_energy);
+    fn train_in(
+        memo: &TrainMemo,
+        spec: &DeviceSpec,
+        freqs: &[f64],
+        seed: u64,
+        params: RandomForestParams,
+    ) -> Self {
+        assert!(!freqs.is_empty(), "need at least one training frequency");
+        let key = (
+            spec.clone(),
+            freqs.iter().map(|f| f.to_bits()).collect(),
+            seed,
+            params,
+        );
+        let (speedup_model, energy_model) = memo.get_or_train(key, || {
+            let (x, y_speedup, y_energy) = microbench_design(spec, freqs);
+            let mut speedup_model = RandomForest::new(params, seed);
+            speedup_model.fit(&x, &y_speedup);
+            let mut energy_model = RandomForest::new(params, seed ^ 0xE);
+            energy_model.fit(&x, &y_energy);
+            (Arc::new(speedup_model), Arc::new(energy_model))
+        });
 
         GeneralPurposeModel {
             speedup_model,
@@ -289,5 +358,83 @@ mod tests {
         assert_eq!(ds_s.len(), 106 * freqs.len());
         assert_eq!(ds_s.x.cols(), 11);
         assert_eq!(ds_e.len(), ds_s.len());
+    }
+
+    /// Trains through a test-local memo, so no other test can evict it.
+    fn memo_train(
+        memo: &TrainMemo,
+        spec: &DeviceSpec,
+        seed: u64,
+        params: RandomForestParams,
+    ) -> GeneralPurposeModel {
+        let freqs = spec.core_freqs.strided(12);
+        GeneralPurposeModel::train_in(memo, spec, &freqs, seed, params)
+    }
+
+    fn shares_forests(a: &GeneralPurposeModel, b: &GeneralPurposeModel) -> bool {
+        Arc::ptr_eq(&a.speedup_model, &b.speedup_model)
+            && Arc::ptr_eq(&a.energy_model, &b.energy_model)
+    }
+
+    fn tiny_params() -> RandomForestParams {
+        RandomForestParams {
+            n_estimators: 3,
+            ..quick_params()
+        }
+    }
+
+    #[test]
+    fn memo_shares_the_forests_of_a_repeated_key() {
+        let memo = TrainMemo::new();
+        let spec = DeviceSpec::v100();
+        let a = memo_train(&memo, &spec, 1, tiny_params());
+        let b = memo_train(&memo, &spec, 1, tiny_params());
+        assert!(shares_forests(&a, &b));
+    }
+
+    #[test]
+    fn memo_misses_when_any_key_part_changes() {
+        let memo = TrainMemo::new();
+        let spec = DeviceSpec::v100();
+        let mut hotter = spec.clone();
+        hotter.idle_power_w += 1.0;
+        let deeper = RandomForestParams {
+            n_estimators: 4,
+            ..tiny_params()
+        };
+        let variants: [&dyn Fn() -> GeneralPurposeModel; 4] = [
+            &|| memo_train(&memo, &spec, 2, tiny_params()),
+            &|| memo_train(&memo, &spec, 1, deeper),
+            &|| {
+                let freqs = spec.core_freqs.strided(13);
+                GeneralPurposeModel::train_in(&memo, &spec, &freqs, 1, tiny_params())
+            },
+            &|| memo_train(&memo, &hotter, 1, tiny_params()),
+        ];
+        for variant in variants {
+            // The memo holds the base key when the variant asks.
+            let base = memo_train(&memo, &spec, 1, tiny_params());
+            assert!(!shares_forests(&base, &variant()));
+        }
+    }
+
+    #[test]
+    fn retraining_an_evicted_key_reproduces_its_predictions() {
+        let memo = TrainMemo::new();
+        let spec = DeviceSpec::v100();
+        let first = memo_train(&memo, &spec, 1, tiny_params());
+        let _evict = memo_train(&memo, &spec, 2, tiny_params());
+        let again = memo_train(&memo, &spec, 1, tiny_params());
+        assert!(!shares_forests(&first, &again));
+        let k = KernelProfile::compute_bound("app", 4_000_000, 2000.0);
+        let sf = GeneralPurposeModel::application_features(&[k]);
+        let freqs = spec.core_freqs.strided(5);
+        let bits = |m: &GeneralPurposeModel| -> Vec<(u64, u64)> {
+            m.predict_curve(&sf, &freqs)
+                .iter()
+                .map(|p| (p.speedup.to_bits(), p.norm_energy.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&first), bits(&again));
     }
 }

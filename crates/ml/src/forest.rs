@@ -102,8 +102,15 @@ impl RandomForest {
     }
 }
 
-impl Regressor for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+impl RandomForest {
+    /// Fits every tree with `fit_tree` on its bootstrap sample (or on
+    /// `x`, `y` without bootstrap).
+    fn fit_trees(
+        &mut self,
+        x: &Matrix,
+        y: &[f64],
+        fit_tree: impl Fn(&mut DecisionTree, &Matrix, &[f64]) + Sync,
+    ) {
         assert_eq!(x.rows(), y.len(), "x/y length mismatch");
         assert!(x.rows() > 0, "cannot fit on an empty dataset");
         let ds = Dataset::new(x.clone(), y.to_vec());
@@ -120,13 +127,19 @@ impl Regressor for RandomForest {
                 if params.bootstrap {
                     let mut rng = ChaCha8Rng::seed_from_u64(tree_seed ^ 0xB0075);
                     let sample = ds.bootstrap(&mut rng);
-                    tree.fit(&sample.x, &sample.y);
+                    fit_tree(&mut tree, &sample.x, &sample.y);
                 } else {
-                    tree.fit(x, y);
+                    fit_tree(&mut tree, x, y);
                 }
                 tree
             })
             .collect();
+    }
+}
+
+impl Regressor for RandomForest {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_trees(x, y, |tree, x, y| tree.fit(x, y));
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
@@ -175,6 +188,7 @@ pub fn regression_forest_third(n_estimators: usize, seed: u64) -> RandomForest {
 mod tests {
     use super::*;
     use crate::metrics::r2;
+    use crate::tree::reference::{fit_sorted, preorder};
 
     fn friedman_like(n: usize) -> (Matrix, Vec<f64>) {
         // Deterministic quasi-random design over 3 features.
@@ -303,6 +317,34 @@ mod tests {
             r2_forest > r2_tree,
             "bagging should beat one deep tree on noisy data: {r2_forest} vs {r2_tree}"
         );
+    }
+
+    #[test]
+    fn forest_matches_the_sorting_search_bit_for_bit() {
+        // Features on a 0.05 grid: bootstrap duplicates plus heavy ties.
+        let (x, y) = friedman_like(300);
+        let rounded: Vec<Vec<f64>> = x
+            .iter_rows()
+            .map(|r| r.iter().map(|v| (v * 20.0).round() / 20.0).collect())
+            .collect();
+        let x = Matrix::from_rows(&rounded);
+        for max_features in [MaxFeatures::All, MaxFeatures::Count(2)] {
+            let params = RandomForestParams {
+                n_estimators: 8,
+                tree: TreeParams {
+                    max_features,
+                    ..Default::default()
+                },
+                bootstrap: true,
+            };
+            let mut fast = RandomForest::new(params, 9);
+            fast.fit(&x, &y);
+            let mut oracle = RandomForest::new(params, 9);
+            oracle.fit_trees(&x, &y, fit_sorted);
+            let fast: Vec<_> = fast.trees().iter().map(preorder).collect();
+            let oracle: Vec<_> = oracle.trees().iter().map(preorder).collect();
+            assert_eq!(fast, oracle);
+        }
     }
 
     #[test]
