@@ -274,6 +274,9 @@ pub struct DistributedSimulation {
     /// Cumulative bytes exchanged across device cuts (remote copies only;
     /// a one-slab ring exchanges nothing).
     pub halo_bytes_exchanged: u64,
+    /// Scratch copies of the slabs at the start of a step (uⁿ), reused
+    /// from step to step; empty until the first step.
+    u_olds: Vec<State>,
 }
 
 impl DistributedSimulation {
@@ -318,6 +321,7 @@ impl DistributedSimulation {
             dt: mono.dt,
             step_count: mono.step_count,
             halo_bytes_exchanged: 0,
+            u_olds: Vec::new(),
         }
     }
 
@@ -326,7 +330,7 @@ impl DistributedSimulation {
     /// `dt`.
     pub fn step(&mut self) -> f64 {
         let dt = self.dt;
-        let u_olds: Vec<State> = self.slabs.clone();
+        self.u_olds.clone_from(&self.slabs);
         let mut cfl_max = 0.0f64;
         for substep in 0..N_SUBSTEPS {
             // computeChanges per slab, then the CFL all-reduce: the global
@@ -342,7 +346,7 @@ impl DistributedSimulation {
                 .map(|c| max_reduce(&c.cfl))
                 .fold(f64::NEG_INFINITY, f64::max);
             cfl_max = cfl_max.max(substep_cfl);
-            for ((slab, u_old), ch) in self.slabs.iter_mut().zip(&u_olds).zip(&changes) {
+            for ((slab, u_old), ch) in self.slabs.iter_mut().zip(&self.u_olds).zip(&changes) {
                 integrate_substep(slab, u_old, ch, dt, substep);
             }
             // applyBoundary: halo exchange replaces the x sweep on cuts,

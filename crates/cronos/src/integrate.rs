@@ -10,14 +10,16 @@
 //! substep 2:  uⁿ⁺¹ = ⅓uⁿ + ⅔(u² + Δt·L(u²))
 //! ```
 //!
-//! Each substep is a per-cell parallel update (rayon), which is exactly the
-//! "parallelized for every cell in the grid" kernel of the paper.
+//! Each substep is the paper's "parallelized for every cell in the grid"
+//! update. On the CPU it runs over the same contiguous blocks of k-planes
+//! as [`crate::stencil::compute_changes`], one block per worker thread,
+//! and walks only interior rows, so ghost cells are never visited.
 
 use rayon::prelude::*;
 
 use crate::grid::NGHOST;
 use crate::state::{State, NCOMP};
-use crate::stencil::Changes;
+use crate::stencil::{planes_per_block, Changes};
 
 /// Number of SSP-RK substeps per timestep (the paper's `for substep ← 0 to 2`).
 pub const N_SUBSTEPS: usize = 3;
@@ -38,6 +40,19 @@ pub fn integrate_substep(
     dt: f64,
     substep: usize,
 ) {
+    let planes = planes_per_block(state.grid.nz);
+    integrate_in_blocks(state, u_old, changes, dt, substep, planes);
+}
+
+/// [`integrate_substep`] over blocks of `planes` interior k-planes each.
+pub(crate) fn integrate_in_blocks(
+    state: &mut State,
+    u_old: &State,
+    changes: &Changes,
+    dt: f64,
+    substep: usize,
+    planes: usize,
+) {
     assert!(substep < N_SUBSTEPS, "substep out of range");
     assert_eq!(state.grid, u_old.grid, "grid mismatch");
     assert_eq!(
@@ -55,36 +70,30 @@ pub fn integrate_substep(
     };
 
     let g = state.grid;
-    let (nx, ny) = (g.nx, g.ny);
-    let sx = g.sx();
-    let sxy = g.sx() * g.sy();
+    let (nx, ny, sx) = (g.nx, g.ny, g.sx());
+    let plane = sx * g.sy();
+    // Storage offset of the first interior k-plane.
+    let first = NGHOST * plane;
     let old_cells = &u_old.cells;
     let dudt = &changes.dudt;
 
-    state
-        .cells
-        .par_iter_mut()
+    state.cells[first..first + g.nz * plane]
+        .par_chunks_mut(planes * plane)
         .enumerate()
-        .for_each(|(storage_idx, cell)| {
-            // Map the storage index back to interior coordinates; skip ghosts.
-            let i = storage_idx % sx;
-            let j = (storage_idx / sx) % g.sy();
-            let k = storage_idx / sxy;
-            if i < NGHOST
-                || i >= NGHOST + nx
-                || j < NGHOST
-                || j >= NGHOST + ny
-                || k < NGHOST
-                || k >= NGHOST + g.nz
-            {
-                return;
-            }
-            let int_flat = ((k - NGHOST) * ny + (j - NGHOST)) * nx + (i - NGHOST);
-            let d = &dudt[int_flat];
-            let old = &old_cells[storage_idx];
-            for c in 0..NCOMP {
-                let stage = cell[c] + dt * d[c];
-                cell[c] = a * old[c] + b * stage;
+        .for_each(|(blk, block)| {
+            for (p, cells) in block.chunks_mut(plane).enumerate() {
+                let k = blk * planes + p;
+                for j in 0..ny {
+                    let row = (j + NGHOST) * sx + NGHOST;
+                    let old = &old_cells[first + k * plane + row..][..nx];
+                    let d = &dudt[(k * ny + j) * nx..][..nx];
+                    for ((cell, old), d) in cells[row..row + nx].iter_mut().zip(old).zip(d) {
+                        for c in 0..NCOMP {
+                            let stage = cell[c] + dt * d[c];
+                            cell[c] = a * old[c] + b * stage;
+                        }
+                    }
+                }
             }
         });
 }

@@ -12,9 +12,13 @@
 //! | `integrate_time`  | `nx·ny·nz`            | pure streaming update    |
 //! | `apply_boundary`  | surface cells only    | tiny copy kernel         |
 //!
-//! Per-cell operation counts are derived by counting the arithmetic in
-//! [`crate::stencil`]/[`crate::flux`] (reconstruction + 6 Rusanov faces ≈
-//! 1.5 kflop) and the DRAM traffic from the array accesses with a 13-point
+//! The profiles model the SYCL port's per-cell kernels, not the CPU loop
+//! in [`crate::stencil`]: a `compute_changes` work item evaluates all 6 of
+//! its cell's faces, so every interior face is computed twice on the
+//! device, while the CPU sweep computes each face once. Per-cell operation
+//! counts are derived by counting the arithmetic in
+//! [`crate::stencil`]/[`crate::flux`] per work item (reconstruction + 6
+//! Rusanov faces ≈ 1.5 kflop) and the DRAM traffic from the array accesses with a 13-point
 //! stencil's imperfect cache reuse (≈4 of the 13 neighbour reads miss, plus
 //! the change/CFL writes). These constants make the stencil's arithmetic
 //! intensity land where measured MHD stencils land on V100-class parts —

@@ -37,6 +37,8 @@ pub mod flux;
 pub mod grid;
 pub mod integrate;
 pub mod kernelize;
+#[cfg(test)]
+mod oracle;
 pub mod problems;
 pub mod reduce;
 pub mod sim;

@@ -1,8 +1,10 @@
-//! Parallel reductions (the `reduce(cfl, cflBuf, max)` of Algorithm 1).
+//! Reductions (the `reduce(cfl, cflBuf, max)` of Algorithm 1).
+//!
+//! Both are plain in-order folds over the slice. A reduction reads each
+//! value once, which is a small fraction of the stencil sweep that wrote
+//! it, and a fixed fold order keeps the sum bit-reproducible.
 
-use rayon::prelude::*;
-
-/// Parallel maximum of a slice.
+/// Maximum of a slice.
 ///
 /// # Panics
 /// Panics on an empty slice or non-finite values — the CFL buffer is never
@@ -12,16 +14,13 @@ pub fn max_reduce(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "cannot reduce an empty buffer");
     // `f64::max` would silently drop NaN operands; propagate them instead so
     // the finite check below actually fires on a diverged solve.
-    let m = values.par_iter().copied().reduce(
-        || f64::NEG_INFINITY,
-        |a, b| {
-            if a.is_nan() || b.is_nan() {
-                f64::NAN
-            } else {
-                a.max(b)
-            }
-        },
-    );
+    let m = values.iter().fold(f64::NEG_INFINITY, |a, &b| {
+        if a.is_nan() || b.is_nan() {
+            f64::NAN
+        } else {
+            a.max(b)
+        }
+    });
     assert!(
         m.is_finite(),
         "non-finite value in reduction: solver diverged"
@@ -29,9 +28,9 @@ pub fn max_reduce(values: &[f64]) -> f64 {
     m
 }
 
-/// Parallel sum (used by conservation diagnostics on large grids).
+/// Sum in slice order (used by conservation diagnostics on large grids).
 pub fn sum_reduce(values: &[f64]) -> f64 {
-    values.par_iter().sum()
+    values.iter().sum()
 }
 
 #[cfg(test)]

@@ -35,6 +35,9 @@ pub struct Simulation {
     pub dt: f64,
     /// Completed timesteps.
     pub step_count: u64,
+    /// Scratch copy of the state at the start of a step (uⁿ), reused from
+    /// step to step; empty until the first step.
+    u_old: State,
 }
 
 impl Simulation {
@@ -51,6 +54,10 @@ impl Simulation {
         let changes = compute_changes(&state, gamma);
         let cfl_max = max_reduce(&changes.cfl);
         let dt = cfl_number / cfl_max;
+        let u_old = State {
+            grid: state.grid,
+            cells: Vec::new(),
+        };
         Simulation {
             state,
             gamma,
@@ -59,6 +66,7 @@ impl Simulation {
             time: 0.0,
             dt,
             step_count: 0,
+            u_old,
         }
     }
 
@@ -67,12 +75,12 @@ impl Simulation {
     /// loop. Returns the `dt` that was applied.
     pub fn step(&mut self) -> f64 {
         let dt = self.dt;
-        let u_old = self.state.clone();
+        self.u_old.clone_from(&self.state);
         let mut cfl_max = 0.0f64;
         for substep in 0..N_SUBSTEPS {
             let changes = compute_changes(&self.state, self.gamma);
             cfl_max = cfl_max.max(max_reduce(&changes.cfl));
-            integrate_substep(&mut self.state, &u_old, &changes, dt, substep);
+            integrate_substep(&mut self.state, &self.u_old, &changes, dt, substep);
             apply_boundary(&mut self.state, self.boundary);
         }
         // adjustTimestepDelta: next dt from the stiffest signal seen.

@@ -37,12 +37,28 @@ pub mod comp {
 pub type Cons = [f64; NCOMP];
 
 /// The full grid state: one [`Cons`] per storage cell (ghosts included).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct State {
     /// Grid geometry.
     pub grid: Grid,
     /// Cell data in storage order (x fastest), ghosts included.
     pub cells: Vec<Cons>,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        State {
+            grid: self.grid,
+            cells: self.cells.clone(),
+        }
+    }
+
+    /// Copies into the existing cell buffer, so a scratch state is
+    /// refreshed without a new allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.grid = source.grid;
+        self.cells.clone_from(&source.cells);
+    }
 }
 
 impl State {
@@ -131,6 +147,16 @@ mod tests {
         let s = State::from_fn(g, |x, _, _| [x, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
         assert!((s.interior(0, 0, 0)[comp::RHO] - 0.125).abs() < 1e-15);
         assert!((s.interior(3, 0, 0)[comp::RHO] - 0.875).abs() < 1e-15);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_cell_buffer() {
+        let src = State::quiescent(Grid::cubic(3, 3, 3));
+        let mut dst = State::quiescent(Grid::cubic(4, 4, 4));
+        let buf = dst.cells.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.cells.as_ptr(), buf);
     }
 
     #[test]

@@ -10,11 +10,20 @@
 //! `max_d (|u_d| + c_f,d) / Δx_d` that the subsequent max-reduction turns
 //! into the next time step — exactly the `cflBuf` of Algorithm 1.
 //!
-//! Cells are processed in parallel with rayon. Each cell evaluates both of
-//! its faces per direction; a face shared by two cells is computed twice
-//! from identical inputs, so the scheme stays exactly conservative
-//! (telescoping flux sums) while remaining embarrassingly parallel — the
-//! same trade GPU stencil codes make.
+//! # Face-once plane-block sweep
+//!
+//! The interior is split into one contiguous block of k-planes per worker
+//! thread, and each block writes its own range of the output buffers.
+//! Within a block the sweep walks `(k, j, i)` and evaluates every face flux
+//! once: a cell computes its three `+½` faces and takes its `−½` faces from
+//! three buffers — the x-face carried along the row, the row's y-faces and
+//! the plane's z-faces — which its `+½` fluxes then replace. A `−½` face is
+//! computed directly only where no cell precedes it in the walk: at the
+//! start of each row (x), each plane (y) and each block (z), so a z-face
+//! between two blocks is evaluated by both. A flux is a pure function of
+//! the same four cells whichever side evaluates it, so the result is
+//! bit-identical to evaluating both faces per cell; the telescoping flux
+//! sums keep the scheme exactly conservative.
 
 use rayon::prelude::*;
 
@@ -56,7 +65,7 @@ fn slopes(um: &Cons, u0: &Cons, up: &Cons) -> Cons {
 /// Reconstructed face states `(left-of-face, right-of-face)` for the face
 /// between `u0` and `up`, using the 4-cell neighbourhood `(um, u0, up, upp)`.
 #[inline]
-fn face_states(um: &Cons, u0: &Cons, up: &Cons, upp: &Cons) -> (Cons, Cons) {
+pub(crate) fn face_states(um: &Cons, u0: &Cons, up: &Cons, upp: &Cons) -> (Cons, Cons) {
     let s0 = slopes(um, u0, up);
     let s1 = slopes(u0, up, upp);
     let mut l: Cons = [0.0; NCOMP];
@@ -68,9 +77,36 @@ fn face_states(um: &Cons, u0: &Cons, up: &Cons, upp: &Cons) -> (Cons, Cons) {
     (l, r)
 }
 
+/// Interior k-planes per parallel block: one contiguous block per worker
+/// thread (the last may be shorter).
+pub(crate) fn planes_per_block(nz: usize) -> usize {
+    nz.div_ceil(rayon::current_num_threads())
+}
+
 /// Runs one `computeChanges` sweep over the interior. Ghost cells must have
 /// been filled (two layers) by a boundary pass first.
 pub fn compute_changes(state: &State, gamma: f64) -> Changes {
+    compute_changes_in_blocks(state, gamma, planes_per_block(state.grid.nz))
+}
+
+/// [`compute_changes`] with blocks of `planes` k-planes each.
+pub(crate) fn compute_changes_in_blocks(state: &State, gamma: f64, planes: usize) -> Changes {
+    let g = state.grid;
+    let plane = g.nx * g.ny;
+    let mut dudt = vec![[0.0; NCOMP]; g.n_cells()];
+    let mut cfl = vec![0.0; g.n_cells()];
+    let block = planes * plane;
+    dudt.par_chunks_mut(block)
+        .zip(cfl.par_chunks_mut(block))
+        .enumerate()
+        .for_each(|(b, (dudt, cfl))| sweep_block(state, gamma, b * planes, dudt, cfl));
+    Changes { dudt, cfl }
+}
+
+/// Sweeps one block of interior k-planes, starting at plane `k0`, into its
+/// slices of the output buffers (their length sets the plane count),
+/// evaluating each face flux once.
+fn sweep_block(state: &State, gamma: f64, k0: usize, dudt: &mut [Cons], cfl: &mut [f64]) {
     let g = state.grid;
     let (nx, ny) = (g.nx, g.ny);
     let inv_d = [1.0 / g.dx(), 1.0 / g.dy(), 1.0 / g.dz()];
@@ -78,49 +114,58 @@ pub fn compute_changes(state: &State, gamma: f64) -> Changes {
     let strides = [1usize, g.sx(), g.sx() * g.sy()];
     let cells = &state.cells;
 
-    let n_int = g.n_cells();
-    let results: Vec<(Cons, f64)> = (0..n_int)
-        .into_par_iter()
-        .map(|flat| {
-            let i = flat % nx;
-            let j = (flat / nx) % ny;
-            let k = flat / (nx * ny);
-            let c0 = g.idx(i + NGHOST, j + NGHOST, k + NGHOST);
+    // Rusanov flux through the face between storage cells `c` and
+    // `c + stride`, reconstructed from the 4-cell neighbourhood.
+    let flux = |c: usize, dir: usize| {
+        let st = strides[dir];
+        let (l, r) = face_states(
+            &cells[c - st],
+            &cells[c],
+            &cells[c + st],
+            &cells[c + 2 * st],
+        );
+        rusanov_flux(&l, &r, gamma, dir)
+    };
+    let row_start = |j: usize, k: usize| g.idx(NGHOST, j + NGHOST, k + NGHOST);
 
-            let mut dudt: Cons = [0.0; NCOMP];
-            let mut cfl_rate = 0.0f64;
-            let u0 = &cells[c0];
-
-            for dir in 0..3 {
-                let st = strides[dir];
-                let umm = &cells[c0 - 2 * st];
-                let um = &cells[c0 - st];
-                let up = &cells[c0 + st];
-                let upp = &cells[c0 + 2 * st];
-
-                // Face i+1/2: reconstruct from (um, u0, up, upp).
-                let (lp, rp) = face_states(um, u0, up, upp);
-                let f_plus = rusanov_flux(&lp, &rp, gamma, dir);
-                // Face i−1/2: reconstruct from (umm, um, u0, up).
-                let (lm, rm) = face_states(umm, um, u0, up);
-                let f_minus = rusanov_flux(&lm, &rm, gamma, dir);
-
-                for c in 0..NCOMP {
-                    dudt[c] -= (f_plus[c] - f_minus[c]) * inv_d[dir];
-                }
-                cfl_rate = cfl_rate.max(max_signal_speed(u0, gamma, dir) * inv_d[dir]);
-            }
-            (dudt, cfl_rate)
-        })
+    // z-faces k−½ of the current plane, y-faces j−½ of the current row.
+    let mut fz: Vec<Cons> = (0..ny)
+        .flat_map(|j| (0..nx).map(move |i| row_start(j, k0) + i - strides[2]))
+        .map(|c| flux(c, 2))
         .collect();
+    let mut fy: Vec<Cons> = vec![[0.0; NCOMP]; nx];
 
-    let mut dudt = Vec::with_capacity(n_int);
-    let mut cfl = Vec::with_capacity(n_int);
-    for (d, c) in results {
-        dudt.push(d);
-        cfl.push(c);
+    let mut out = 0;
+    for k in k0..k0 + dudt.len() / (nx * ny) {
+        for (i, f) in fy.iter_mut().enumerate() {
+            *f = flux(row_start(0, k) + i - strides[1], 1);
+        }
+        for j in 0..ny {
+            let row = row_start(j, k);
+            // x-face i−½, carried along the row.
+            let mut fx = flux(row - 1, 0);
+            for i in 0..nx {
+                let c0 = row + i;
+                let f_minus = [fx, fy[i], fz[j * nx + i]];
+                let f_plus = [flux(c0, 0), flux(c0, 1), flux(c0, 2)];
+
+                let u0 = &cells[c0];
+                let mut d: Cons = [0.0; NCOMP];
+                let mut cfl_rate = 0.0f64;
+                for dir in 0..3 {
+                    for c in 0..NCOMP {
+                        d[c] -= (f_plus[dir][c] - f_minus[dir][c]) * inv_d[dir];
+                    }
+                    cfl_rate = cfl_rate.max(max_signal_speed(u0, gamma, dir) * inv_d[dir]);
+                }
+                dudt[out] = d;
+                cfl[out] = cfl_rate;
+                out += 1;
+
+                [fx, fy[i], fz[j * nx + i]] = f_plus;
+            }
+        }
     }
-    Changes { dudt, cfl }
 }
 
 #[cfg(test)]

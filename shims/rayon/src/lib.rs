@@ -1,7 +1,8 @@
 //! Offline shim for `rayon`: genuinely parallel iterators built on
 //! `std::thread::scope`, covering the adapter surface this workspace
-//! uses (`par_iter`, `par_iter_mut`, `into_par_iter`, `map`, `filter`,
-//! `enumerate`, `copied`, `for_each`, `sum`, `reduce`, `collect`).
+//! uses (`par_iter`, `par_iter_mut`, `into_par_iter`, `par_chunks_mut`,
+//! `map`, `filter`, `enumerate`, `zip`, `copied`, `for_each`, `sum`,
+//! `reduce`, `collect`, plus `join` and `current_num_threads`).
 //!
 //! Differences from real rayon, by design:
 //!
@@ -16,12 +17,25 @@
 //!   of a work-stealing pool: inner `par_iter`s fall back to sequential
 //!   execution once the budget is exhausted, bounding total threads to
 //!   roughly the core count.
+//!
+//! # Per-item `par_iter` or `par_chunks_mut`
+//!
+//! Every item costs a copy into a bucket and a copy back, and adjacent
+//! items go to different threads. That is fine when each item is a
+//! sizeable piece of work. For fine-grained work over a large slice (one
+//! stencil cell, one array element) use `par_chunks_mut` with about
+//! [`current_num_threads`] chunks instead: the items are then a handful
+//! of contiguous subslices, each worker owns one range of memory, and no
+//! cache line is written by two threads except at chunk edges. Chunks are
+//! the slice's own `chunks_mut`, in order, and run under the same thread
+//! budget, so a nested call runs them serially.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
     pub use crate::{
         IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParIter,
+        ParallelSliceMut,
     };
 }
 
@@ -32,6 +46,12 @@ fn max_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Most worker threads one parallel call can use (at least 1). Fewer run
+/// while other calls hold part of the budget.
+pub fn current_num_threads() -> usize {
+    max_threads()
 }
 
 /// Parallel map preserving input order. Falls back to a sequential map
@@ -124,6 +144,21 @@ impl<T: Send> ParIter<T> {
         }
     }
 
+    /// Pairs items with another parallel iterator's, stopping at the
+    /// shorter of the two.
+    pub fn zip<Z>(self, other: Z) -> ParIter<(T, Z::Item)>
+    where
+        Z: IntoParallelIterator,
+    {
+        ParIter {
+            items: self
+                .items
+                .into_iter()
+                .zip(other.into_par_iter().items)
+                .collect(),
+        }
+    }
+
     pub fn sum<S>(self) -> S
     where
         S: std::iter::Sum<T>,
@@ -171,6 +206,13 @@ impl<'a, T: Clone + Send + Sync> ParIter<&'a T> {
 pub trait IntoParallelIterator {
     type Item: Send;
     fn into_par_iter(self) -> ParIter<Self::Item>;
+}
+
+impl<T: Send> IntoParallelIterator for ParIter<T> {
+    type Item = T;
+    fn into_par_iter(self) -> ParIter<T> {
+        self
+    }
 }
 
 impl<T: Send> IntoParallelIterator for Vec<T> {
@@ -237,6 +279,25 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
         ParIter {
             items: self.iter_mut().collect(),
+        }
+    }
+}
+
+/// Contiguous mutable chunks of a slice (`.par_chunks_mut()`).
+pub trait ParallelSliceMut<T: Send> {
+    /// Splits the slice into chunks of `chunk_size` elements (the last may
+    /// be shorter), in order.
+    ///
+    /// # Panics
+    /// Panics if `chunk_size` is zero.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]>;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<&mut [T]> {
+        assert!(chunk_size != 0, "chunk_size must not be zero");
+        ParIter {
+            items: self.chunks_mut(chunk_size).collect(),
         }
     }
 }
@@ -309,6 +370,91 @@ mod tests {
             })
             .collect();
         assert!(out.iter().all(|&n| n == 32));
+    }
+
+    #[test]
+    fn par_chunks_mut_chunks_are_contiguous_and_in_order() {
+        let mut v = vec![0usize; 1000];
+        let base = v.as_ptr() as usize;
+        let spans: Vec<(usize, usize)> = v
+            .par_chunks_mut(7)
+            .map(|c| {
+                (
+                    (c.as_ptr() as usize - base) / std::mem::size_of::<usize>(),
+                    c.len(),
+                )
+            })
+            .collect();
+        assert_eq!(spans.len(), 143);
+        for (n, &(start, len)) in spans.iter().enumerate() {
+            assert_eq!(start, 7 * n);
+            assert_eq!(len, if n == 142 { 6 } else { 7 });
+        }
+        v.par_chunks_mut(7)
+            .enumerate()
+            .for_each(|(n, c)| c.iter_mut().enumerate().for_each(|(o, x)| *x = 7 * n + o));
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i));
+    }
+
+    #[test]
+    fn par_chunks_mut_zips_two_slices_chunk_for_chunk() {
+        let mut a = vec![0u32; 100];
+        let mut b = vec![0u64; 50];
+        a.par_chunks_mut(10)
+            .zip(b.par_chunks_mut(5))
+            .enumerate()
+            .for_each(|(n, (ca, cb))| {
+                ca.fill(n as u32);
+                cb.fill(n as u64);
+            });
+        assert!(a.iter().enumerate().all(|(i, &x)| x == (i / 10) as u32));
+        assert!(b.iter().enumerate().all(|(i, &x)| x == (i / 5) as u64));
+    }
+
+    #[test]
+    fn par_chunks_mut_runs_serially_once_the_budget_is_spent() {
+        use std::sync::atomic::Ordering;
+        // While the budget is held, concurrently running tests in this
+        // module run serially; none of them depends on running in parallel.
+        let hold = super::max_threads();
+        super::ACTIVE_WORKERS.fetch_add(hold, Ordering::Relaxed);
+        let caller = std::thread::current().id();
+        let mut v = vec![0u8; 64];
+        let ids: Vec<_> = v
+            .par_chunks_mut(8)
+            .map(|c| {
+                c.fill(1);
+                std::thread::current().id()
+            })
+            .collect();
+        super::ACTIVE_WORKERS.fetch_sub(hold, Ordering::Relaxed);
+        assert!(ids.iter().all(|&id| id == caller));
+        assert!(v.iter().all(|&x| x == 1));
+    }
+
+    #[test]
+    fn nested_par_chunks_mut_terminates() {
+        let out: Vec<u32> = (0..16usize)
+            .into_par_iter()
+            .map(|_| {
+                let mut v = vec![0u32; 100];
+                v.par_chunks_mut(10).for_each(|c| c.fill(1));
+                v.iter().sum()
+            })
+            .collect();
+        assert!(out.iter().all(|&s| s == 100));
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk_size must not be zero")]
+    fn zero_chunk_size_is_rejected() {
+        let mut v = vec![0u8; 4];
+        let _ = v.par_chunks_mut(0);
+    }
+
+    #[test]
+    fn current_num_threads_is_at_least_one() {
+        assert!(super::current_num_threads() >= 1);
     }
 
     #[test]
