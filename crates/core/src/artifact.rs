@@ -16,6 +16,24 @@
 //!   expects can reject a stale or foreign model as
 //!   [`ArtifactError::Fingerprint`] even though the file itself is intact.
 //!
+//! # Payload schemas
+//!
+//! The payload is the model pair's JSON ([`DomainSpecificModel::to_json`]).
+//!
+//! * **v2** (written): each Random Forest is its compiled flat arena —
+//!   `{"FlatForest": {"params", "seed", "arena": {"n_features", "roots",
+//!   "feature", "threshold", "child"}}}` (see [`ml::flat`]). The reader
+//!   validates the arena against the compiled layout, serves it as read
+//!   and rebuilds the pointer forest from it; nothing is recompiled.
+//!   Other algorithms store their fitted parameters, as in v1.
+//! * **v1** (read only): each forest is its nested pointer trees,
+//!   `{"Forest": {"params", "seed", "trees"}}`, compiled on load.
+//!
+//! Either way the loaded model serves bit-identical predictions.
+//!
+//! A file larger than [`MAX_ARTIFACT_BYTES`] is refused as
+//! [`ArtifactError::TooLarge`] before it is read.
+//!
 //! Artifacts are written through [`crate::persist::atomic_write`], so a
 //! reader never observes a torn envelope: either the old artifact or the
 //! new one, never half of each.
@@ -25,15 +43,22 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt;
+use std::io::Read;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ds_model::DomainSpecificModel;
+use crate::ds_model::{DomainSpecificModel, PayloadSchema};
 use crate::persist::{atomic_write_str, PersistError};
 
-/// The artifact schema this build writes and accepts.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
+/// The artifact schema this build writes. It also reads every schema
+/// from 1 up to this one (see the module docs).
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 2;
+
+/// Largest artifact file [`ModelArtifact::load`] reads. The models this
+/// repository trains seal to a few MB; the cap keeps a runaway or foreign
+/// file from being read whole into memory.
+pub const MAX_ARTIFACT_BYTES: u64 = 64 << 20;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -92,6 +117,13 @@ pub enum ArtifactError {
     },
     /// The file (or its payload) is not a parseable artifact at all.
     Malformed(String),
+    /// The file is larger than [`MAX_ARTIFACT_BYTES`]; it was not read.
+    TooLarge {
+        /// Size of the file in bytes.
+        bytes: u64,
+        /// The cap ([`MAX_ARTIFACT_BYTES`]).
+        limit: u64,
+    },
     /// The underlying read/write failed.
     Persist(PersistError),
 }
@@ -102,7 +134,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::Version { found, expected } => {
                 write!(
                     f,
-                    "artifact schema v{found}, this build accepts v{expected}"
+                    "artifact schema v{found}, this build accepts v1 to v{expected}"
                 )
             }
             ArtifactError::Digest { recorded, computed } => write!(
@@ -114,6 +146,9 @@ impl fmt::Display for ArtifactError {
                 "artifact training fingerprint {found:#018x}, loader expects {expected:#018x}"
             ),
             ArtifactError::Malformed(msg) => write!(f, "malformed artifact: {msg}"),
+            ArtifactError::TooLarge { bytes, limit } => {
+                write!(f, "artifact of {bytes} bytes exceeds the {limit}-byte cap")
+            }
             ArtifactError::Persist(e) => write!(f, "{e}"),
         }
     }
@@ -137,7 +172,8 @@ impl From<PersistError> for ArtifactError {
 /// The on-disk envelope around one serialized [`DomainSpecificModel`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelArtifact {
-    /// Envelope schema version ([`ARTIFACT_SCHEMA_VERSION`]).
+    /// Envelope schema version: [`ARTIFACT_SCHEMA_VERSION`] when sealed by
+    /// this build, 1 for an artifact written before v2.
     pub schema_version: u32,
     /// The model's name in the registry (e.g. `"ligen"`).
     pub name: String,
@@ -163,17 +199,26 @@ impl ModelArtifact {
         }
     }
 
+    /// How this envelope's payload stores forests, or the typed error
+    /// for a schema this build does not read.
+    fn payload_schema(&self) -> Result<PayloadSchema, ArtifactError> {
+        match self.schema_version {
+            1 => Ok(PayloadSchema::Trees),
+            ARTIFACT_SCHEMA_VERSION => Ok(PayloadSchema::Arena),
+            found => Err(ArtifactError::Version {
+                found,
+                expected: ARTIFACT_SCHEMA_VERSION,
+            }),
+        }
+    }
+
     /// Verifies the envelope and deserializes the model: schema version,
-    /// then content digest, then payload parse. Does *not* check the
+    /// then content digest, then payload parse (a v2 payload's arenas are
+    /// validated, a v1 payload's trees compiled). Does *not* check the
     /// training fingerprint — use [`ModelArtifact::open_expecting`] when
     /// the loader knows what it was trained for.
     pub fn open(&self) -> Result<DomainSpecificModel, ArtifactError> {
-        if self.schema_version != ARTIFACT_SCHEMA_VERSION {
-            return Err(ArtifactError::Version {
-                found: self.schema_version,
-                expected: ARTIFACT_SCHEMA_VERSION,
-            });
-        }
+        let schema = self.payload_schema()?;
         let computed = fnv1a_64(self.payload.as_bytes());
         if computed != self.content_digest {
             return Err(ArtifactError::Digest {
@@ -181,7 +226,7 @@ impl ModelArtifact {
                 computed,
             });
         }
-        DomainSpecificModel::from_json(&self.payload)
+        DomainSpecificModel::from_payload(&self.payload, schema)
             .map_err(|e| ArtifactError::Malformed(format!("payload: {e}")))
     }
 
@@ -189,9 +234,7 @@ impl ModelArtifact {
     /// trained under other conditions is rejected as
     /// [`ArtifactError::Fingerprint`] before its payload is even parsed.
     pub fn open_expecting(&self, fingerprint: u64) -> Result<DomainSpecificModel, ArtifactError> {
-        if self.schema_version == ARTIFACT_SCHEMA_VERSION
-            && self.training_fingerprint != fingerprint
-        {
+        if self.payload_schema().is_ok() && self.training_fingerprint != fingerprint {
             return Err(ArtifactError::Fingerprint {
                 expected: fingerprint,
                 found: self.training_fingerprint,
@@ -208,17 +251,38 @@ impl ModelArtifact {
         Ok(())
     }
 
-    /// Reads an envelope back. Parse failures are
-    /// [`ArtifactError::Malformed`]; verification happens in
+    /// Reads an envelope back. A file over [`MAX_ARTIFACT_BYTES`] is
+    /// [`ArtifactError::TooLarge`] and is not read; parse failures are
+    /// [`ArtifactError::Malformed`]. Verification happens in
     /// [`ModelArtifact::open`], not here, so a caller can still inspect a
     /// quarantined envelope's metadata.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
+        let io = |source| {
             ArtifactError::Persist(PersistError::Io {
                 path: path.to_path_buf(),
-                source: e,
+                source,
             })
-        })?;
+        };
+        let file = std::fs::File::open(path).map_err(io)?;
+        let too_large = |bytes| ArtifactError::TooLarge {
+            bytes,
+            limit: MAX_ARTIFACT_BYTES,
+        };
+        let size = file.metadata().map_err(io)?.len();
+        if size > MAX_ARTIFACT_BYTES {
+            return Err(too_large(size));
+        }
+        // The file may grow after the size check: read one byte past the
+        // cap at most.
+        let mut bytes = Vec::with_capacity(size as usize);
+        file.take(MAX_ARTIFACT_BYTES + 1)
+            .read_to_end(&mut bytes)
+            .map_err(io)?;
+        if bytes.len() as u64 > MAX_ARTIFACT_BYTES {
+            return Err(too_large(bytes.len() as u64));
+        }
+        let text = String::from_utf8(bytes)
+            .map_err(|e| ArtifactError::Malformed(format!("not UTF-8: {e}")))?;
         serde_json::from_str(&text).map_err(|e| ArtifactError::Malformed(e.to_string()))
     }
 }
@@ -328,10 +392,9 @@ mod tests {
 
     #[test]
     fn flatten_round_trip_is_fingerprint_stable() {
-        // serialize → load → (implicit) re-flatten must reproduce the exact
-        // prediction fingerprint: the recompiled SoA arena serves the same
-        // bits as the arena compiled at training time, across repeated
-        // round trips.
+        // serialize → load must reproduce the exact prediction
+        // fingerprint: the stored SoA arena serves the same bits as the
+        // arena compiled at training time, across repeated round trips.
         let dir = scratch("flat-fingerprint");
         let model = tiny_model();
         assert!(model.has_flat(), "forest pair must carry a flat layout");
@@ -340,7 +403,7 @@ mod tests {
         let path = dir.join("toy.json");
         model.save_artifact(&path, "toy", 7).unwrap();
         let (back, _) = DomainSpecificModel::load_artifact(&path).unwrap();
-        assert!(back.has_flat(), "load must recompile the flat layout");
+        assert!(back.has_flat(), "load must carry the flat layout");
         assert_eq!(prediction_fingerprint(&back), original);
 
         // Second generation: re-seal the reloaded model and load again.

@@ -134,7 +134,7 @@ impl Algorithm {
 }
 
 /// Type-erased regressor covering the four candidate algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum AnyModel {
     Linear(LinearRegression),
     Lasso(Lasso),
@@ -181,16 +181,121 @@ impl AnyModel {
             _ => None,
         }
     }
+
+    /// The stored form of this model: a forest as its compiled arena plus
+    /// the parameters and seed that rebuild its trees, any other algorithm
+    /// as itself.
+    fn store(&self, flat: Option<&FlatForest>) -> StoredModel {
+        match self {
+            AnyModel::Linear(m) => StoredModel::Linear(m.clone()),
+            AnyModel::Lasso(m) => StoredModel::Lasso(m.clone()),
+            AnyModel::Svr(m) => StoredModel::Svr(m.clone()),
+            AnyModel::Forest(m) => StoredModel::FlatForest(StoredForest {
+                params: m.params,
+                seed: m.seed(),
+                arena: flat.cloned().unwrap_or_else(|| m.flatten()),
+            }),
+        }
+    }
+}
+
+/// One model of a pair as a payload stores it. The writer emits only
+/// `FlatForest` for a forest; `Forest` (nested pointer trees) is the
+/// artifact schema v1 encoding, still read.
+#[derive(Serialize, Deserialize)]
+enum StoredModel {
+    Linear(LinearRegression),
+    Lasso(Lasso),
+    Svr(SvrRbf),
+    Forest(RandomForest),
+    FlatForest(StoredForest),
+}
+
+/// A forest stored as its compiled arena, served as loaded.
+#[derive(Serialize, Deserialize)]
+struct StoredForest {
+    params: RandomForestParams,
+    seed: u64,
+    arena: FlatForest,
+}
+
+impl StoredModel {
+    /// The model and its flat layout, checked against the design width
+    /// the pair declares. A v2 forest hands its arena over as read and
+    /// rebuilds its pointer trees from it; a v1 forest compiles its trees.
+    fn load(
+        self,
+        schema: PayloadSchema,
+        width: usize,
+    ) -> Result<(AnyModel, Option<FlatForest>), String> {
+        let (model, flat) = match (self, schema) {
+            (StoredModel::Linear(m), _) => (AnyModel::Linear(m), None),
+            (StoredModel::Lasso(m), _) => (AnyModel::Lasso(m), None),
+            (StoredModel::Svr(m), _) => (AnyModel::Svr(m), None),
+            (StoredModel::FlatForest(f), PayloadSchema::Arena) => {
+                let forest = RandomForest::from_flat(f.params, f.seed, &f.arena)
+                    .map_err(|e| e.to_string())?;
+                (AnyModel::Forest(forest), Some(f.arena))
+            }
+            (StoredModel::Forest(m), PayloadSchema::Trees) => {
+                let flat = FlatForest::try_compile(&m).map_err(|e| e.to_string())?;
+                flat.validate()
+                    .map_err(|e| format!("compiled forest: {e}"))?;
+                (AnyModel::Forest(m), Some(flat))
+            }
+            (StoredModel::Forest(_), PayloadSchema::Arena) => {
+                return Err("a v2 payload stores forests as arenas, found trees".into())
+            }
+            (StoredModel::FlatForest(_), PayloadSchema::Trees) => {
+                return Err("a v1 payload stores forests as trees, found an arena".into())
+            }
+        };
+        if let Some(flat) = &flat {
+            if flat.n_features() != width {
+                return Err(format!(
+                    "forest expects {} columns, the model's design has {width}",
+                    flat.n_features()
+                ));
+            }
+        }
+        Ok((model, flat))
+    }
+}
+
+/// How a payload stores its forests.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PayloadSchema {
+    /// Artifact schema v1: nested pointer trees, compiled on load.
+    Trees,
+    /// Artifact schema v2: compiled flat arenas.
+    Arena,
+}
+
+/// The serialized model pair ([`DomainSpecificModel::to_json`]).
+#[derive(Serialize, Deserialize)]
+struct StoredPair {
+    time_model: StoredModel,
+    energy_model: StoredModel,
+    algorithm: Algorithm,
+    n_features: usize,
+    default_freq_mhz: f64,
+    /// Defaulted to 1 so pre-lattice payloads read unchanged.
+    #[serde(default = "one_config_col")]
+    config_cols: usize,
+    #[serde(default)]
+    default_config: Vec<f64>,
 }
 
 /// A trained domain-specific model pair (time + energy).
 ///
-/// Forest models additionally carry a compiled [`FlatForest`] — a derived
-/// struct-of-arrays arena used on the serving hot path. The flat layouts
-/// are **not** serialized (the pointer forests remain the source of truth);
-/// they are recompiled by `train*` and [`DomainSpecificModel::from_json`],
-/// and their predictions are bit-identical to the pointer walk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Forest models additionally carry a compiled [`FlatForest`] — the
+/// struct-of-arrays arena used on the serving hot path, bit-identical to
+/// the pointer walk. `train*` compiles it once; it is also what
+/// [`DomainSpecificModel::to_json`] stores for a forest, so
+/// [`DomainSpecificModel::from_json`] serves the stored arena as read and
+/// rebuilds the pointer forests (kept for the `*_reference` oracles) from
+/// it, with no recompile.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainSpecificModel {
     time_model: AnyModel,
     energy_model: AnyModel,
@@ -201,17 +306,12 @@ pub struct DomainSpecificModel {
     /// How many configuration columns follow the input features in the
     /// design matrix: 1 for the legacy frequency-only models, 3 for
     /// lattice models (`core_mhz`, `mem_mhz`, `cap_w`), 4 for distributed
-    /// models (the lattice columns plus `num_devices`). Serde-defaulted to
-    /// 1 so pre-lattice JSON artifacts deserialize unchanged.
-    #[serde(default = "one_config_col")]
+    /// models (the lattice columns plus `num_devices`).
     config_cols: usize,
     /// The default operating configuration lattice models normalize by
     /// (`[core_mhz, mem_mhz, cap_w]`); empty for legacy models, whose
     /// anchor is `default_freq_mhz` alone.
-    #[serde(default)]
     default_config: Vec<f64>,
-    // Compiled flat layouts serialize as `null` (see the FlatForest serde
-    // impls) and are recompiled on deserialize by `from_json`.
     time_flat: Option<FlatForest>,
     energy_flat: Option<FlatForest>,
 }
@@ -778,18 +878,70 @@ impl DomainSpecificModel {
 
     /// Serializes the trained model pair to JSON — train once during the
     /// (expensive) training phase, ship the model to the runtime that does
-    /// frequency selection.
+    /// frequency selection. A forest is stored as its compiled flat arena
+    /// (artifact schema v2).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("model serialization cannot fail")
+        let stored = StoredPair {
+            time_model: self.time_model.store(self.time_flat.as_ref()),
+            energy_model: self.energy_model.store(self.energy_flat.as_ref()),
+            algorithm: self.algorithm,
+            n_features: self.n_features,
+            default_freq_mhz: self.default_freq_mhz,
+            config_cols: self.config_cols,
+            default_config: self.default_config.clone(),
+        };
+        serde_json::to_string(&stored).expect("model serialization cannot fail")
     }
 
-    /// Restores a model pair from [`DomainSpecificModel::to_json`] output,
-    /// recompiling the flat inference layout (it is never serialized).
+    /// Restores a model pair from [`DomainSpecificModel::to_json`] output.
+    /// Each stored arena is validated and served as read; the pointer
+    /// forests are rebuilt from it. An arena that is not exactly a
+    /// compiled layout, or does not fit the pair's design width, is an
+    /// error.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut model: Self = serde_json::from_str(json)?;
-        model.time_flat = model.time_model.compile_flat();
-        model.energy_flat = model.energy_model.compile_flat();
-        Ok(model)
+        DomainSpecificModel::from_payload(json, PayloadSchema::Arena)
+    }
+
+    /// Restores a model pair from a payload whose forests are stored as
+    /// `schema` says: [`PayloadSchema::Arena`] is
+    /// [`DomainSpecificModel::from_json`]; [`PayloadSchema::Trees`] reads
+    /// the artifact schema v1 tree JSON and compiles the flat layouts.
+    pub(crate) fn from_payload(
+        json: &str,
+        schema: PayloadSchema,
+    ) -> Result<Self, serde_json::Error> {
+        let stored: StoredPair = serde_json::from_str(json)?;
+        let invalid = serde_json::Error::custom;
+        let anchor_cols = if stored.config_cols == 1 {
+            0
+        } else {
+            stored.config_cols
+        };
+        if stored.config_cols == 0 || stored.default_config.len() != anchor_cols {
+            return Err(invalid(format!(
+                "{} configuration columns with a {}-value default configuration",
+                stored.config_cols,
+                stored.default_config.len()
+            )));
+        }
+        let width = stored
+            .n_features
+            .checked_add(stored.config_cols)
+            .ok_or_else(|| invalid("design width overflows".to_string()))?;
+        let (time_model, time_flat) = stored.time_model.load(schema, width).map_err(invalid)?;
+        let (energy_model, energy_flat) =
+            stored.energy_model.load(schema, width).map_err(invalid)?;
+        Ok(DomainSpecificModel {
+            time_model,
+            energy_model,
+            algorithm: stored.algorithm,
+            n_features: stored.n_features,
+            default_freq_mhz: stored.default_freq_mhz,
+            config_cols: stored.config_cols,
+            default_config: stored.default_config,
+            time_flat,
+            energy_flat,
+        })
     }
 }
 
@@ -961,14 +1113,14 @@ mod tests {
     }
 
     #[test]
-    fn deserialized_model_recompiles_flat_layout() {
+    fn deserialized_model_serves_the_stored_arena() {
         let samples = synth_samples(&[(2.0, 3.0), (4.0, 5.0), (8.0, 2.0)], &freqs());
         let model = DomainSpecificModel::train(&samples, 855.0, 4);
         let back = DomainSpecificModel::from_json(&model.to_json()).unwrap();
         assert!(back.has_flat());
-        // The recompiled flat layout must stay bit-identical to the pointer
-        // forest it was compiled from (the JSON float round-trip itself is
-        // only covered to 1e-12 by `json_round_trip_preserves_predictions`).
+        // The stored arena and the pointer forests rebuilt from it are the
+        // trained ones exactly.
+        assert_eq!(back, model);
         for &f in freqs().iter().step_by(5) {
             let (t0, e0) = back.predict_time_energy(&[4.0, 5.0], f);
             let (t1, e1) = back.predict_time_energy_reference(&[4.0, 5.0], f);

@@ -366,17 +366,7 @@ impl ModelRegistry {
         name: &str,
         version: Option<u32>,
     ) -> Result<(DomainSpecificModel, ModelArtifact, u32), RegistryError> {
-        let version = match version {
-            Some(v) => v,
-            None => self.latest(name)?,
-        };
-        let artifact = self.artifact_at(name, version)?;
-        let model = artifact.open().map_err(|source| RegistryError::Artifact {
-            name: name.to_string(),
-            version,
-            source,
-        })?;
-        Ok((model, artifact, version))
+        self.load_checked(name, version, None)
     }
 
     /// [`ModelRegistry::load`] plus a training-fingerprint check: a model
@@ -389,19 +379,32 @@ impl ModelRegistry {
         version: Option<u32>,
         fingerprint: u64,
     ) -> Result<(DomainSpecificModel, ModelArtifact, u32), RegistryError> {
+        self.load_checked(name, version, Some(fingerprint))
+    }
+
+    /// The body of [`ModelRegistry::load`] and
+    /// [`ModelRegistry::load_expecting`]: the fingerprint is checked only
+    /// when one is given.
+    fn load_checked(
+        &self,
+        name: &str,
+        version: Option<u32>,
+        fingerprint: Option<u64>,
+    ) -> Result<(DomainSpecificModel, ModelArtifact, u32), RegistryError> {
         let version = match version {
             Some(v) => v,
             None => self.latest(name)?,
         };
         let artifact = self.artifact_at(name, version)?;
-        let model =
-            artifact
-                .open_expecting(fingerprint)
-                .map_err(|source| RegistryError::Artifact {
-                    name: name.to_string(),
-                    version,
-                    source,
-                })?;
+        let opened = match fingerprint {
+            Some(fp) => artifact.open_expecting(fp),
+            None => artifact.open(),
+        };
+        let model = opened.map_err(|source| RegistryError::Artifact {
+            name: name.to_string(),
+            version,
+            source,
+        })?;
         Ok((model, artifact, version))
     }
 
@@ -587,11 +590,7 @@ impl ModelRegistry {
         let mut events = Vec::new();
         let mut first_err = None;
         for &version in stable.iter().rev() {
-            let result = match expected_fingerprint {
-                Some(fp) => self.load_expecting(name, Some(version), fp),
-                None => self.load(name, Some(version)),
-            };
-            match result {
+            match self.load_checked(name, Some(version), expected_fingerprint) {
                 Ok((model, artifact, v)) => return Ok((model, artifact, v, events)),
                 Err(
                     e @ RegistryError::Artifact {

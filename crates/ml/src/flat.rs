@@ -9,7 +9,7 @@
 //!
 //! The flat layout stores one node per index across three parallel arrays:
 //!
-//! * `feature[i]` — split feature as `u16` (unused for leaves);
+//! * `feature[i]` — split feature as `u16` (`0` for leaves);
 //! * `threshold[i]` — split threshold, or the **leaf value** for leaves;
 //! * `child[i]` — index of the left child, or `0` for a leaf.
 //!
@@ -30,6 +30,27 @@
 //! the outer loop walks one tree across every row before moving to the next
 //! tree, so a tree's ~few-KiB arena stays resident in L1/L2 for the whole
 //! batch instead of re-streaming the entire forest per row.
+//!
+//! # Stored arenas
+//!
+//! The arena is also the stored form of a forest, and a loader serves it as
+//! read instead of recompiling. It serializes as five fields: `n_features`
+//! and `roots` as JSON numbers, and the `feature`, `threshold` and `child`
+//! columns each as one string of fixed-width, big-endian, lowercase hex
+//! words, one word per node — 4 digits of the `u16` feature, 16 of the
+//! threshold's IEEE-754 bits, 8 of the `u32` child. The words carry the
+//! exact bits, and a column reads back in one pass with no JSON value per
+//! node, which is what makes loading a model cheap: a forest's nested tree
+//! JSON is about twice the size and several times slower to read.
+//!
+//! Deserializing checks the arena against the exact layout
+//! [`FlatForest::compile`] emits and refuses anything else with an error,
+//! never a panic or an endless walk; [`RandomForest::from_flat`] rebuilds
+//! the pointer forest from it, the lossless inverse of `compile`.
+
+use std::fmt;
+
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::dataset::Matrix;
 use crate::forest::RandomForest;
@@ -39,11 +60,40 @@ use crate::tree::Node;
 /// real child can ever be 0).
 const LEAF: u32 = 0;
 
+/// Deepest tree (in split levels) a stored arena may hold. The pointer
+/// trees it rebuilds into are walked and dropped recursively, so a stored
+/// chain must not be able to exhaust the stack. Tree JSON nests two levels
+/// per tree level under the JSON parser's 512-level limit, so no forest
+/// that loads as trees is refused here.
+pub const MAX_TREE_DEPTH: usize = 256;
+
+/// Why a stored arena or a forest was refused: the first broken layout
+/// invariant, named with the node or tree it was found at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArenaError(String);
+
+impl fmt::Display for ArenaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ArenaError {}
+
+impl ArenaError {
+    pub(crate) fn new(msg: String) -> Self {
+        ArenaError(msg)
+    }
+}
+
+fn refuse<T>(msg: String) -> Result<T, ArenaError> {
+    Err(ArenaError(msg))
+}
+
 /// A [`RandomForest`] compiled to a contiguous struct-of-arrays layout.
 ///
-/// This is a derived, compile-on-load artifact — it is *not* serialized.
-/// Persisted models store the pointer forest; callers re-compile after
-/// deserializing (see `DomainSpecificModel::from_json` in `energy_model`).
+/// Trained models compile it once; stored models carry it (see the module
+/// docs), so a loaded model serves the arena it was saved with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatForest {
     n_features: usize,
@@ -62,13 +112,27 @@ impl FlatForest {
     /// than `u32::MAX - 1` total nodes (far beyond any forest this repo
     /// trains).
     pub fn compile(forest: &RandomForest) -> Self {
+        match FlatForest::try_compile(forest) {
+            Ok(flat) => flat,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`FlatForest::compile`] that reports an unfitted forest, a feature
+    /// index past the trees' width or beyond `u16`, or a node count beyond
+    /// `u32` as an error instead of panicking — the compile step of a
+    /// forest read from tree JSON.
+    pub fn try_compile(forest: &RandomForest) -> Result<Self, ArenaError> {
         let trees = forest.trees();
-        assert!(!trees.is_empty(), "flatten before fit");
-        let n_features = trees[0].n_features();
-        assert!(
-            n_features < usize::from(u16::MAX),
-            "feature index must fit u16"
-        );
+        let Some(first) = trees.first() else {
+            return refuse("flatten before fit".into());
+        };
+        let n_features = first.n_features();
+        if n_features >= usize::from(u16::MAX) {
+            return refuse(format!(
+                "feature index must fit u16 ({n_features} features)"
+            ));
+        }
 
         let mut flat = FlatForest {
             n_features,
@@ -77,19 +141,26 @@ impl FlatForest {
             threshold: Vec::new(),
             child: Vec::new(),
         };
-        for tree in trees {
-            debug_assert_eq!(tree.n_features(), n_features);
-            let root = tree.root().expect("flatten before fit");
-            let slot = flat.emit_tree(root);
+        for (t, tree) in trees.iter().enumerate() {
+            let Some(root) = tree.root() else {
+                return refuse("flatten before fit".into());
+            };
+            if tree.n_features() != n_features {
+                return refuse(format!(
+                    "tree {t} has {} features, tree 0 has {n_features}",
+                    tree.n_features()
+                ));
+            }
+            let slot = flat.emit_tree(root)?;
             flat.roots.push(slot);
         }
-        flat
+        Ok(flat)
     }
 
     /// Emits one tree in BFS order, returning its root's arena index.
     /// A split's children are pushed together so `right == left + 1`.
-    fn emit_tree(&mut self, root: &Node) -> u32 {
-        let base = self.push_slot();
+    fn emit_tree(&mut self, root: &Node) -> Result<u32, ArenaError> {
+        let base = self.push_slot()?;
         let mut queue: std::collections::VecDeque<(&Node, u32)> = std::collections::VecDeque::new();
         queue.push_back((root, base));
         while let Some((node, slot)) = queue.pop_front() {
@@ -105,8 +176,14 @@ impl FlatForest {
                     left,
                     right,
                 } => {
-                    let left_slot = self.push_slot();
-                    let right_slot = self.push_slot();
+                    if *feature >= self.n_features {
+                        return refuse(format!(
+                            "split feature {feature} out of range for {} features",
+                            self.n_features
+                        ));
+                    }
+                    let left_slot = self.push_slot()?;
+                    let right_slot = self.push_slot()?;
                     debug_assert_eq!(right_slot, left_slot + 1);
                     self.feature[slot_us] = *feature as u16;
                     self.threshold[slot_us] = *threshold;
@@ -116,17 +193,169 @@ impl FlatForest {
                 }
             }
         }
-        base
+        Ok(base)
     }
 
     /// Reserves one arena slot, returning its index.
-    fn push_slot(&mut self) -> u32 {
+    fn push_slot(&mut self) -> Result<u32, ArenaError> {
         let idx = self.feature.len();
-        assert!(idx < u32::MAX as usize, "node count must fit u32");
+        if idx >= u32::MAX as usize {
+            return refuse("node count must fit u32".into());
+        }
         self.feature.push(0);
         self.threshold.push(0.0);
         self.child.push(LEAF);
-        idx as u32
+        Ok(idx as u32)
+    }
+
+    /// Checks a stored arena against the layout [`FlatForest::compile`]
+    /// emits, so serving it can neither index out of bounds nor loop, and
+    /// rebuilding its pointer trees is the exact inverse of compiling
+    /// them. Linear in the node count; no recursion.
+    ///
+    /// The arrays have one length; `roots` is non-empty and strictly
+    /// increasing within the arena; every value is finite; a split's
+    /// feature is below `n_features` and its `child` follows its own index
+    /// with `child + 1` in range; a leaf carries feature `0`. Beyond those,
+    /// each tree must be one contiguous BFS run starting where the
+    /// previous tree ended, every split taking the next two free slots —
+    /// which makes every node the child of exactly one split — and no
+    /// deeper than [`MAX_TREE_DEPTH`].
+    pub fn validate(&self) -> Result<(), ArenaError> {
+        let n = self.feature.len();
+        if self.threshold.len() != n || self.child.len() != n {
+            return refuse(format!(
+                "arena arrays differ in length: feature {n}, threshold {}, child {}",
+                self.threshold.len(),
+                self.child.len()
+            ));
+        }
+        if self.n_features == 0 || self.n_features >= usize::from(u16::MAX) {
+            return refuse(format!("n_features {} out of range", self.n_features));
+        }
+        if self.roots.is_empty() {
+            return refuse("arena has no trees".into());
+        }
+        if n > u32::MAX as usize {
+            return refuse(format!("{n} nodes do not fit u32 indices"));
+        }
+        for (t, pair) in self.roots.windows(2).enumerate() {
+            if pair[0] >= pair[1] {
+                return refuse(format!(
+                    "roots not strictly increasing at tree {}: {} then {}",
+                    t + 1,
+                    pair[0],
+                    pair[1]
+                ));
+            }
+        }
+        if let Some(&last) = self.roots.last() {
+            if last as usize >= n {
+                return refuse(format!("root {last} out of range for {n} nodes"));
+            }
+        }
+        for i in 0..n {
+            if !self.threshold[i].is_finite() {
+                return refuse(format!("node {i} holds a non-finite value"));
+            }
+            let c = self.child[i];
+            let f = self.feature[i];
+            if c == LEAF {
+                if f != 0 {
+                    return refuse(format!("leaf {i} carries feature {f}"));
+                }
+                continue;
+            }
+            if c as usize <= i {
+                return refuse(format!("split {i} points back to child {c}"));
+            }
+            if c as usize + 1 >= n {
+                return refuse(format!("split {i} children {c}, {} out of range", c + 1));
+            }
+            if usize::from(f) >= self.n_features {
+                return refuse(format!(
+                    "split {i} feature {f} out of range for {} features",
+                    self.n_features
+                ));
+            }
+        }
+        let mut i = 0usize;
+        for (t, &root) in self.roots.iter().enumerate() {
+            if root as usize != i {
+                return refuse(format!("tree {t} starts at {root}, expected {i}"));
+            }
+            // `next` is the next free slot of this tree; `level_end` ends
+            // the BFS level `depth` (levels occupy contiguous runs).
+            let mut next = i + 1;
+            let mut level_end = next;
+            let mut depth = 0usize;
+            while i < next {
+                if i == level_end {
+                    depth += 1;
+                    if depth > MAX_TREE_DEPTH {
+                        return refuse(format!("tree {t} deeper than {MAX_TREE_DEPTH} levels"));
+                    }
+                    level_end = next;
+                }
+                let c = self.child[i];
+                if c != LEAF {
+                    if c as usize != next {
+                        return refuse(format!(
+                            "split {i} children at {c}, expected the next free slot {next}"
+                        ));
+                    }
+                    next += 2;
+                }
+                i += 1;
+            }
+        }
+        if i != n {
+            return refuse(format!("nodes {i}..{n} belong to no tree"));
+        }
+        Ok(())
+    }
+
+    /// The pointer trees this arena was compiled from, in tree order —
+    /// the inverse of `emit_tree`. Each tree is built bottom-up over its
+    /// slot run (children sit at higher indices than their parent), so
+    /// nothing recurses. Every arena has the compiled layout (`compile`
+    /// emits it, deserializing validates it), so each node has exactly
+    /// one parent.
+    pub(crate) fn to_nodes(&self) -> Vec<Node> {
+        fn take(slots: &mut [Option<Node>], at: usize) -> Node {
+            slots[at]
+                .take()
+                .expect("a validated arena gives every node one parent")
+        }
+        let n = self.feature.len();
+        let mut slots: Vec<Option<Node>> = Vec::new();
+        self.roots
+            .iter()
+            .enumerate()
+            .map(|(t, &root)| {
+                let start = root as usize;
+                let end = self.roots.get(t + 1).map_or(n, |&r| r as usize);
+                slots.clear();
+                slots.resize_with(end - start, || None);
+                for i in (start..end).rev() {
+                    let c = self.child[i] as usize;
+                    let node = if c == LEAF as usize {
+                        Node::Leaf {
+                            value: self.threshold[i],
+                        }
+                    } else {
+                        Node::Split {
+                            feature: usize::from(self.feature[i]),
+                            threshold: self.threshold[i],
+                            left: Box::new(take(&mut slots, c - start)),
+                            right: Box::new(take(&mut slots, c + 1 - start)),
+                        }
+                    };
+                    slots[i - start] = Some(node);
+                }
+                take(&mut slots, 0)
+            })
+            .collect()
     }
 
     /// Number of compiled trees.
@@ -402,21 +631,122 @@ impl RandomForest {
     }
 }
 
-/// The flat arena is a derived compile-on-load cache, never persisted:
-/// it serializes as `null`, so an `Option<FlatForest>` field reads back as
-/// `None` and holders recompile from the pointer forest after load.
-impl serde::Serialize for FlatForest {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+/// Hex digits per stored word of the `feature`, `threshold` and `child`
+/// columns: a `u16`, an `f64`'s bits and a `u32`.
+const FEATURE_DIGITS: usize = 4;
+const THRESHOLD_DIGITS: usize = 16;
+const CHILD_DIGITS: usize = 8;
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// One stored column: every value as a fixed-width, big-endian, lowercase
+/// hex word, concatenated.
+fn hex_column(values: impl ExactSizeIterator<Item = u64>, digits: usize) -> Value {
+    let mut s = String::with_capacity(values.len() * digits);
+    for v in values {
+        for k in (0..digits).rev() {
+            s.push(char::from(HEX_DIGITS[(v >> (4 * k)) as usize & 0xf]));
+        }
+    }
+    Value::Str(s)
+}
+
+/// Reads a column [`hex_column`] wrote, converting each word with `from`.
+fn parse_hex_column<T>(
+    v: &Value,
+    digits: usize,
+    from: impl Fn(u64) -> T,
+) -> Result<Vec<T>, String> {
+    /// Nibble of each lowercase hex digit; `INVALID` for any other byte.
+    const INVALID: u8 = 0xff;
+    const NIBBLE: [u8; 256] = {
+        let mut table = [INVALID; 256];
+        let mut i = 0;
+        while i < 16 {
+            table[HEX_DIGITS[i] as usize] = i as u8;
+            i += 1;
+        }
+        table
+    };
+    let Value::Str(s) = v else {
+        return Err("expected a hex string".into());
+    };
+    let bytes = s.as_bytes();
+    if bytes.len() % digits != 0 {
+        return Err(format!(
+            "{} hex digits do not split into {digits}-digit words",
+            bytes.len()
+        ));
+    }
+    let mut out = Vec::with_capacity(bytes.len() / digits);
+    for word in bytes.chunks_exact(digits) {
+        let mut bits = 0u64;
+        let mut seen = 0u8;
+        for &b in word {
+            let nibble = NIBBLE[usize::from(b)];
+            seen |= nibble;
+            bits = bits << 4 | u64::from(nibble & 0xf);
+        }
+        if seen == INVALID {
+            return Err(format!(
+                "invalid hex word {:?}",
+                String::from_utf8_lossy(word)
+            ));
+        }
+        out.push(from(bits));
+    }
+    Ok(out)
+}
+
+/// The stored arena (see the module docs): `n_features` and `roots` as
+/// numbers, the three node columns as hex-word strings.
+impl Serialize for FlatForest {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("n_features".into(), self.n_features.to_value()),
+            ("roots".into(), self.roots.to_value()),
+            (
+                "feature".into(),
+                hex_column(self.feature.iter().map(|&f| u64::from(f)), FEATURE_DIGITS),
+            ),
+            (
+                "threshold".into(),
+                hex_column(self.threshold.iter().map(|t| t.to_bits()), THRESHOLD_DIGITS),
+            ),
+            (
+                "child".into(),
+                hex_column(self.child.iter().map(|&c| u64::from(c)), CHILD_DIGITS),
+            ),
+        ])
     }
 }
 
-impl serde::Deserialize for FlatForest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Err(serde::DeError::custom(format!(
-            "FlatForest is a compiled cache and is never serialized; \
-             recompile from the pointer forest (got {v:?})"
-        )))
+/// Reads a stored arena and [validates](FlatForest::validate) it: a value
+/// that is not exactly a compiled layout is an error.
+impl Deserialize for FlatForest {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, DeError> {
+            v.get(key)
+                .ok_or_else(|| DeError::custom(format!("arena is missing `{key}`")))
+        }
+        let column = |key: &str, e: String| DeError::custom(format!("arena `{key}`: {e}"));
+        let flat = FlatForest {
+            n_features: Deserialize::from_value(field(v, "n_features")?)
+                .map_err(|e| column("n_features", e.to_string()))?,
+            roots: Deserialize::from_value(field(v, "roots")?)
+                .map_err(|e| column("roots", e.to_string()))?,
+            // A word of FEATURE_DIGITS (CHILD_DIGITS) hex digits fits u16
+            // (u32), so the casts are exact.
+            feature: parse_hex_column(field(v, "feature")?, FEATURE_DIGITS, |w| w as u16)
+                .map_err(|e| column("feature", e))?,
+            threshold: parse_hex_column(field(v, "threshold")?, THRESHOLD_DIGITS, f64::from_bits)
+                .map_err(|e| column("threshold", e))?,
+            child: parse_hex_column(field(v, "child")?, CHILD_DIGITS, |w| w as u32)
+                .map_err(|e| column("child", e))?,
+        };
+        flat.validate()
+            .map_err(|e| DeError::custom(format!("invalid arena: {e}")))?;
+        Ok(flat)
     }
 }
 
@@ -583,6 +913,57 @@ mod tests {
     fn flatten_unfitted_panics() {
         let f = RandomForest::with_defaults(0);
         let _ = f.flatten();
+    }
+
+    /// One tree: a right-leaning chain of `depth` splits on feature 0.
+    fn chain(depth: usize) -> FlatForest {
+        let n = 2 * depth + 1;
+        FlatForest {
+            n_features: 1,
+            roots: vec![0],
+            feature: vec![0; n],
+            threshold: (0..n).map(|i| i as f64).collect(),
+            child: (0..n)
+                .map(|i| {
+                    if i % 2 == 0 && i + 1 < n {
+                        i as u32 + 1
+                    } else {
+                        LEAF
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn depth_is_capped_at_the_limit() {
+        let deepest = chain(MAX_TREE_DEPTH);
+        deepest.validate().unwrap();
+        let params = RandomForestParams {
+            n_estimators: 1,
+            ..Default::default()
+        };
+        let forest = RandomForest::from_flat(params, 3, &deepest).unwrap();
+        assert_eq!(forest.trees()[0].depth(), MAX_TREE_DEPTH);
+        assert_eq!(forest.flatten(), deepest);
+        let err = chain(MAX_TREE_DEPTH + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("deeper than"), "{err}");
+    }
+
+    #[test]
+    fn rebuild_refuses_a_tree_count_mismatch() {
+        let (forest, _) = fitted_forest(4, 1);
+        let params = RandomForestParams {
+            n_estimators: 5,
+            ..forest.params
+        };
+        assert!(RandomForest::from_flat(params, forest.seed(), &forest.flatten()).is_err());
+    }
+
+    #[test]
+    fn try_compile_reports_an_unfitted_forest() {
+        let err = FlatForest::try_compile(&RandomForest::with_defaults(0)).unwrap_err();
+        assert_eq!(err.to_string(), "flatten before fit");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Dataset, Matrix};
+use crate::flat::{ArenaError, FlatForest};
 use crate::tree::{DecisionTree, MaxFeatures, TreeParams};
 use crate::Regressor;
 
@@ -96,10 +97,55 @@ impl RandomForest {
         out.extend(self.trees.iter().map(|t| t.predict_row(row)));
     }
 
+    /// The seed every tree's bootstrap and feature draws derive from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Fitted trees (compile hook for [`crate::flat::FlatForest`]).
     pub(crate) fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
+
+    /// Rebuilds the fitted forest that `flat` was compiled from, given the
+    /// hyper-parameters and seed it was trained with — the lossless inverse
+    /// of [`FlatForest::compile`]: `RandomForest::from_flat(f.params,
+    /// f.seed(), &f.flatten())` equals `f`.
+    ///
+    /// # Errors
+    /// Refuses an arena whose tree count is not `params.n_estimators`.
+    pub fn from_flat(
+        params: RandomForestParams,
+        seed: u64,
+        flat: &FlatForest,
+    ) -> Result<Self, ArenaError> {
+        if flat.n_trees() != params.n_estimators {
+            return Err(ArenaError::new(format!(
+                "arena holds {} trees, the forest parameters {}",
+                flat.n_trees(),
+                params.n_estimators
+            )));
+        }
+        let trees = flat
+            .to_nodes()
+            .into_iter()
+            .enumerate()
+            .map(|(t, root)| {
+                DecisionTree::from_root(params.tree, tree_seed(seed, t), root, flat.n_features())
+            })
+            .collect();
+        Ok(RandomForest {
+            params,
+            seed,
+            trees,
+        })
+    }
+}
+
+/// Tree `t`'s own seed: an independent, schedule-free stream per tree.
+fn tree_seed(seed: u64, t: usize) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(t as u64)
 }
 
 impl RandomForest {
@@ -119,10 +165,7 @@ impl RandomForest {
         self.trees = (0..params.n_estimators)
             .into_par_iter()
             .map(|t| {
-                // Independent, schedule-free stream per tree.
-                let tree_seed = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(t as u64);
+                let tree_seed = tree_seed(seed, t);
                 let mut tree = DecisionTree::new(params.tree, tree_seed);
                 if params.bootstrap {
                     let mut rng = ChaCha8Rng::seed_from_u64(tree_seed ^ 0xB0075);

@@ -158,6 +158,17 @@ impl DecisionTree {
         self.root.as_ref().expect("fitted").leaves()
     }
 
+    /// A fitted tree with the given root — the rebuild hook for
+    /// [`crate::flat::FlatForest`]'s stored arenas.
+    pub(crate) fn from_root(params: TreeParams, seed: u64, root: Node, n_features: usize) -> Self {
+        DecisionTree {
+            params,
+            seed,
+            root: Some(root),
+            n_features,
+        }
+    }
+
     /// Root node of the fitted tree, if any (compile hook for
     /// [`crate::flat::FlatForest`]).
     pub(crate) fn root(&self) -> Option<&Node> {

@@ -1,9 +1,11 @@
 //! Golden + property tests: the flattened forest is bit-identical to the
 //! pointer-based forest it was compiled from, for scalar and batched
 //! prediction, across random shapes (tree depths, feature counts, forest
-//! sizes) and NaN-free query matrices.
+//! sizes) and NaN-free query matrices; and the stored arena is a lossless
+//! encoding of the forest.
 
 use ml::dataset::Matrix;
+use ml::flat::FlatForest;
 use ml::forest::{RandomForest, RandomForestParams};
 use ml::tree::{MaxFeatures, TreeParams};
 use ml::Regressor;
@@ -149,5 +151,27 @@ proptest! {
         let a = forest.flatten();
         let b = forest.clone().flatten();
         prop_assert_eq!(a, b);
+    }
+
+    /// The arena is a lossless encoding of the forest: forest → arena →
+    /// forest and arena → forest → arena are identities, and the arena's
+    /// stored form reads back (validation included) to an equal arena.
+    #[test]
+    fn arena_round_trips_are_identities(
+        (x, y, _) in arb_problem(),
+        params in arb_params(),
+        seed in 0u64..1000,
+    ) {
+        let m = Matrix::from_rows(&x);
+        let mut forest = RandomForest::new(params, seed);
+        forest.fit(&m, &y);
+        let flat = forest.flatten();
+        let rebuilt = RandomForest::from_flat(forest.params, forest.seed(), &flat)
+            .expect("a compiled arena rebuilds");
+        prop_assert!(rebuilt == forest);
+        prop_assert!(rebuilt.flatten() == flat);
+        let stored = serde::Deserialize::from_value(&serde::Serialize::to_value(&flat));
+        let stored: FlatForest = stored.expect("a compiled arena validates");
+        prop_assert!(stored == flat);
     }
 }

@@ -18,6 +18,12 @@ impl Error {
     fn new(msg: impl Into<String>) -> Self {
         Error { msg: msg.into() }
     }
+
+    /// An error with a caller's message, for checks a type makes after
+    /// parsing (serde's `de::Error::custom`).
+    pub fn custom(msg: impl fmt::Display) -> Self {
+        Error::new(msg.to_string())
+    }
 }
 
 impl fmt::Display for Error {
